@@ -15,7 +15,7 @@ exists whenever the maximum degree is below n/9 - 1/3.
 from __future__ import annotations
 
 from .bell import UnlabeledGraph
-from .graphs import Graph, _bits, canonical_code, chromatic_number, optimal_colouring
+from .graphs import Graph, chromatic_number, optimal_colouring
 from .partitions import SetPartition
 
 REGIME_K_EQ_CHI_PLUS_1 = "k_eq_chi_plus_1"
@@ -175,24 +175,26 @@ def verify_fat_partition(g: Graph, p: SetPartition) -> bool:
 
 
 def neighborhood_components(b: UnlabeledGraph, p: int) -> list[list[int]]:
-    """Components of the induced open neighbourhood, ordered by minimum."""
-    nb = sorted(b.adj[p])
-    nset = b.adj[p]
-    seen: set[int] = set()
+    """Components of the induced open neighbourhood, each sorted, ordered
+    by minimum."""
+    adj = b.adj
+    remaining = set(adj[p])
     comps: list[list[int]] = []
-    for start in nb:
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in b.adj[v] & nset:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
+    while remaining:
+        v = remaining.pop()
+        comp = [v]
+        frontier = adj[v] & remaining
+        while frontier:
+            remaining -= frontier
+            comp += frontier
+            reached: set[int] = set()
+            for w in frontier:
+                reached |= adj[w] & remaining
+            frontier = reached
+        comp.sort()
+        comps.append(comp)
+    # disjoint sorted lists compare by their first element, the minimum
+    comps.sort()
     return comps
 
 
@@ -209,6 +211,11 @@ def reconstruction_candidates(b: UnlabeledGraph) -> tuple[int, list[int]]:
         elif c == best:
             arg.append(p)
     return best, arg
+
+
+# _double_closed and _all_common_inside test one pair of neighbours from
+# the adjacency lists; detect_k_regime and candidate_graph answer the same
+# questions through _outside_sets, and the suites and tests compare the two.
 
 
 def _double_closed(
@@ -240,6 +247,33 @@ def is_double_closed(b: UnlabeledGraph, p: int, q1: int, q2: int) -> bool:
     return _double_closed(b, closed, q1, q2)
 
 
+def _all_common_inside(b: UnlabeledGraph, closed: set[int], q1: int, q2: int) -> bool:
+    a1, a2 = b.adj[q1], b.adj[q2]
+    if len(a2) < len(a1):
+        a1, a2 = a2, a1
+    for r in a1:
+        if r in a2 and r not in closed:
+            return False
+    return True
+
+
+def _outside_sets(b: UnlabeledGraph, p: int) -> dict[int, frozenset[int]]:
+    """Each neighbour q of p mapped to its neighbours outside N[p].
+
+    Two neighbours' common neighbours outside N[p] are then the
+    intersection of their sets: the pairwise tests above become single
+    set operations.
+    """
+    adj = b.adj
+    closed = adj[p] | {p}
+    return {q: adj[q] - closed for q in adj[p]}
+
+
+def _matched_pair(adj: tuple[frozenset[int], ...], s: frozenset[int]) -> bool:
+    """Exactly two vertices of s have a neighbour inside s."""
+    return sum(1 for r in s if not adj[r].isdisjoint(s)) == 2
+
+
 def detect_k_regime(b: UnlabeledGraph, candidates: list[int] | None = None) -> str:
     """Part bound exceeds the chromatic number by more than one exactly
     when some reconstruction candidate has a double-closed pair of
@@ -252,25 +286,20 @@ def detect_k_regime(b: UnlabeledGraph, candidates: list[int] | None = None) -> s
     """
     if candidates is None:
         candidates = reconstruction_candidates(b)[1]
+    adj = b.adj
     for p in candidates:
-        nb = sorted(b.adj[p])
-        closed = set(b.adj[p])
-        closed.add(p)
+        out = _outside_sets(b, p)
+        # a double-closed pair has at least two common outside neighbours
+        nb = [q for q, o in out.items() if len(o) >= 2]
         for i, q1 in enumerate(nb):
+            o1, a1 = out[q1], adj[q1]
             for q2 in nb[i + 1 :]:
-                if _double_closed(b, closed, q1, q2):
+                if q2 in a1:
+                    continue
+                s = o1 & out[q2]
+                if len(s) >= 2 and _matched_pair(adj, s):
                     return REGIME_K_GT_CHI_PLUS_1
     return REGIME_K_EQ_CHI_PLUS_1
-
-
-def _all_common_inside(b: UnlabeledGraph, closed: set[int], q1: int, q2: int) -> bool:
-    a1, a2 = b.adj[q1], b.adj[q2]
-    if len(a2) < len(a1):
-        a1, a2 = a2, a1
-    for r in a1:
-        if r in a2 and r not in closed:
-            return False
-    return True
 
 
 def candidate_graph(b: UnlabeledGraph, p: int, regime: str) -> Graph:
@@ -279,29 +308,27 @@ def candidate_graph(b: UnlabeledGraph, p: int, regime: str) -> Graph:
     With the part bound one above the chromatic number, an edge means some
     cross-component pair has every common neighbour inside the closed
     neighbourhood; beyond that bound, an edge means no cross-component
-    pair is double-closed.
+    pair is double-closed.  Neighbours in distinct components are never
+    adjacent, so each pair test is one intersection of outside sets.
     """
     comps = neighborhood_components(b, p)
+    out = _outside_sets(b, p)
+    adj = b.adj
+    sets = [[out[q] for q in comp] for comp in comps]
+
+    if regime == REGIME_K_EQ_CHI_PLUS_1:
+        def joined(us: list[frozenset[int]], vs: list[frozenset[int]]) -> bool:
+            return any(ou.isdisjoint(ov) for ou in us for ov in vs)
+    else:
+        def joined(us: list[frozenset[int]], vs: list[frozenset[int]]) -> bool:
+            return not any(
+                len(s := ou & ov) >= 2 and _matched_pair(adj, s)
+                for ou in us
+                for ov in vs
+            )
+
     n = len(comps)
-    closed = set(b.adj[p])
-    closed.add(p)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if regime == REGIME_K_EQ_CHI_PLUS_1:
-                hit = any(
-                    _all_common_inside(b, closed, qu, qv)
-                    for qu in comps[i]
-                    for qv in comps[j]
-                )
-            else:
-                hit = not any(
-                    _double_closed(b, closed, qu, qv)
-                    for qu in comps[i]
-                    for qv in comps[j]
-                )
-            if hit:
-                edges.append((i, j))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if joined(sets[i], sets[j])]
     return Graph.from_edges(n, edges)
 
 
@@ -331,6 +358,6 @@ def reconstruct_from_bk(b: UnlabeledGraph) -> Graph:
 
     Caller promises the host has max degree below n/9 - 1/3 and the part
     bound exceeds its chromatic number.  Returns a maximum-edge-count
-    non-complete candidate (lowest canonical code on ties).
+    non-complete candidate; ties go to the lowest adjacency key.
     """
     return reconstruct_from_bk_report(b)["result"]

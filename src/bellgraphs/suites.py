@@ -749,8 +749,19 @@ def _suite_lower_lemmas(n_max: int) -> list[SuiteItem]:
                         break
                 if not struct_ok:
                     break
-            items.append(_item("candidate-structure", host, struct_ok, variant=label,
-                               detail=detail))
+            if 9 * g.max_degree() < g.n - 3:
+                items.append(_item("candidate-structure", host, struct_ok, variant=label,
+                                   detail=detail))
+            else:
+                # the structure is claimed only under the theorem's hypothesis
+                # 9 * max degree < n - 3; outside it the row is informational
+                items.append(SuiteItem(
+                    check="candidate-structure",
+                    host=host,
+                    variant=label,
+                    status="info",
+                    detail={"in_hypothesis": False, "holds": struct_ok, **(detail or {})},
+                ))
     # fat partitions give exactly one component per host vertex
     fat_hosts: list[tuple[Graph, SetPartition]] = [
         (empty_graph(n), lower.find_fat_partition(empty_graph(n)))

@@ -1,6 +1,9 @@
+import itertools
+import random
+
 import pytest
 
-from bellgraphs.bell import FULL, at_most, build_bell, scramble
+from bellgraphs.bell import FULL, UnlabeledGraph, at_most, build_bell, scramble
 from bellgraphs.graphs import (
     Graph,
     complete_bipartite,
@@ -15,6 +18,8 @@ from bellgraphs.lower import (
     REGIME_K_EQ_CHI_PLUS_1,
     REGIME_K_GT_CHI_PLUS_1,
     PreconditionViolated,
+    _all_common_inside,
+    _double_closed,
     candidate_graph,
     detect_k_regime,
     fat_partition_with_trace,
@@ -26,6 +31,60 @@ from bellgraphs.lower import (
     verify_fat_partition,
 )
 from bellgraphs.partitions import SetPartition
+from bellgraphs.suites import run_suite
+
+
+def _union_find_components(u, p):
+    """Reference components of p's open neighbourhood by union-find, each
+    sorted, ordered by minimum."""
+    nset = u.adj[p]
+    root = {q: q for q in nset}
+
+    def find(q):
+        while root[q] != q:
+            q = root[q]
+        return q
+
+    for q in nset:
+        for w in u.adj[q] & nset:
+            root[find(q)] = find(w)
+    groups: dict[int, list[int]] = {}
+    for q in nset:
+        groups.setdefault(find(q), []).append(q)
+    return sorted(sorted(g) for g in groups.values())
+
+
+def _pairwise_candidate_graph(u, p, regime):
+    """Candidate graph built pair by pair from the single-pair tests."""
+    comps = neighborhood_components(u, p)
+    closed = set(u.adj[p]) | {p}
+    edges = []
+    for i, j in itertools.combinations(range(len(comps)), 2):
+        pairs = [(a, c) for a in comps[i] for c in comps[j]]
+        if regime == REGIME_K_EQ_CHI_PLUS_1:
+            hit = any(_all_common_inside(u, closed, a, c) for a, c in pairs)
+        else:
+            hit = not any(_double_closed(u, closed, a, c) for a, c in pairs)
+        if hit:
+            edges.append((i, j))
+    return Graph.from_edges(len(comps), edges)
+
+
+def _pairwise_regime(u, cands):
+    for p in cands:
+        closed = set(u.adj[p]) | {p}
+        for q1, q2 in itertools.combinations(sorted(u.adj[p]), 2):
+            if q2 not in u.adj[q1] and _double_closed(u, closed, q1, q2):
+                return REGIME_K_GT_CHI_PLUS_1
+    return REGIME_K_EQ_CHI_PLUS_1
+
+
+# Bell graphs on which each stage is compared with its pairwise reference
+REFERENCE_CASES = (
+    [(empty_graph(n), k) for n in (5, 6, 7) for k in (2, 3, 4)]
+    + [(matching_graph(8, 1), k) for k in (3, 4)]
+    + [(cycle_graph(8), 3), (path_graph(5), 3)]
+)
 
 
 class TestFatPartition:
@@ -76,6 +135,17 @@ class TestCandidates:
         for p in range(u.m):
             comps = neighborhood_components(u, p)
             assert sorted(v for comp in comps for v in comp) == sorted(u.adj[p])
+
+    def test_components_sorted_and_ordered_by_minimum(self):
+        # the candidate graph's vertex numbering follows this order, and with
+        # it the adjacency-key tie-break that picks the pivot and the result
+        for host, k in [(path_graph(4), 3), (empty_graph(6), 3), (matching_graph(8, 1), 3)]:
+            u = scramble(build_bell(host, at_most(k)), 0)
+            for p in range(u.m):
+                comps = neighborhood_components(u, p)
+                assert all(comp == sorted(comp) for comp in comps)
+                assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
+                assert comps == _union_find_components(u, p)
 
     def test_component_bound(self):
         for host in [empty_graph(5), cycle_graph(5), path_graph(5)]:
@@ -148,6 +218,37 @@ class TestRegime:
                 assert detect_k_regime(u) == want, (host.n, k)
 
 
+class TestAgainstPairwiseReference:
+    @pytest.mark.parametrize(
+        "host,k", REFERENCE_CASES,
+        ids=[f"n{host.n}-e{host.edge_count()}-k{k}" for host, k in REFERENCE_CASES],
+    )
+    def test_stages_match_pairwise_tests(self, host, k):
+        u = build_bell(host, at_most(k)).as_unlabeled()
+        _, cands = reconstruction_candidates(u)
+        assert detect_k_regime(u, cands) == _pairwise_regime(u, cands)
+        for p in cands:
+            for regime in (REGIME_K_EQ_CHI_PLUS_1, REGIME_K_GT_CHI_PLUS_1):
+                assert candidate_graph(u, p, regime) == _pairwise_candidate_graph(u, p, regime)
+
+    def test_random_graphs(self):
+        # the equivalences are structural, so they hold on any graph; dense
+        # random graphs reach matched counts other than 2, which the Bell
+        # graphs above do not
+        rng = random.Random(7)
+        for _ in range(40):
+            m = rng.randint(6, 16)
+            prob = rng.choice((0.3, 0.5, 0.7))
+            u = UnlabeledGraph.from_edges(
+                m, [e for e in itertools.combinations(range(m), 2) if rng.random() < prob]
+            )
+            assert detect_k_regime(u, list(range(m))) == _pairwise_regime(u, range(m))
+            for p in range(m):
+                assert neighborhood_components(u, p) == _union_find_components(u, p)
+                for regime in (REGIME_K_EQ_CHI_PLUS_1, REGIME_K_GT_CHI_PLUS_1):
+                    assert candidate_graph(u, p, regime) == _pairwise_candidate_graph(u, p, regime)
+
+
 class TestCandidateGraph:
     def test_b2_empty4_single_part(self):
         b = build_bell(empty_graph(4), at_most(2))
@@ -193,3 +294,10 @@ class TestReconstruct:
         b = build_bell(cycle_graph(8), at_most(3))
         got = reconstruct_from_bk(scramble(b, 0))
         assert is_isomorphic(got, cycle_graph(8))
+
+
+class TestSuite:
+    def test_lower_recon_suite_passes(self):
+        report = run_suite("lower-recon", 8, 1)
+        failed = [item.to_json() for item in report.items if item.status == "fail"]
+        assert failed == []
