@@ -28,8 +28,10 @@ from .candidates import (
 )
 from .classify import classify_pair, oracle_isomorphic
 from .graphs import (
+    CanonicalReport,
     Graph,
     canonical_code,
+    canonical_code_report,
     chromatic_number,
     claw_closure,
     complement,

@@ -49,10 +49,6 @@ def _upper_bell_code(g: Graph, k: int, cap: int) -> bytes:
     return _upper_bell(g, k, cap).as_unlabeled().canonical_code()
 
 
-def _graph_code(g: Graph) -> bytes:
-    return canonical_code(g)
-
-
 _EMPTY3_CODE = canonical_code(empty_graph(3))
 _K3K1_CODE = canonical_code(disjoint_union(complete_graph(3), complete_graph(1)))
 _P3K1_CODE = canonical_code(disjoint_union(path_graph(3), complete_graph(1)))
@@ -97,7 +93,7 @@ def classify_pair(
             break
         order = _upper_bell(g, k, cap).m
         target = disjoint_union(complete_graph(order - 1), complete_graph(1))
-        if _gprime_code(g) != _graph_code(target):
+        if _gprime_code(g) != canonical_code(target):
             break
         orders.append(order)
     if len(orders) == 2 and orders[0] == orders[1]:

@@ -368,83 +368,218 @@ def _refine(adjsets: Sequence[frozenset[int]], cells: list[list[int]]) -> list[l
 def _cell_invariant(
     adjsets: Sequence[frozenset[int]], cells: list[list[int]]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    sizes = tuple(len(c) for c in cells)
-    quotient = []
-    for cell in cells:
-        v = cell[0]
-        row = [0] * len(cells)
-        for idx, other in enumerate(cells):
-            count = 0
-            for w in other:
-                if w in adjsets[v]:
-                    count += 1
-            row[idx] = count
-        quotient.extend(row)
-    return sizes, tuple(quotient)
+    """Cell sizes and the quotient matrix of an equitable ordered partition.
 
-
-def canonical_code_of_sets(n: int, adjsets: Sequence[frozenset[int]]) -> bytes:
-    """Canonical form: equal codes exactly for isomorphic graphs.
-
-    Individualization-refinement search.  At each branch node only the
-    children with the minimal refinement invariant are explored, so all
-    surviving leaves share the minimal invariant trace; the code is the
-    lexicographically least packed adjacency matrix over those leaves.
+    Row i counts the neighbours of cell i's first vertex in every cell; on an
+    equitable partition all vertices of a cell give the same row.
     """
+    k = len(cells)
+    cell_id = [0] * len(adjsets)
+    for idx, cell in enumerate(cells):
+        for v in cell:
+            cell_id[v] = idx
+    quotient = [0] * (k * k)
+    for idx, cell in enumerate(cells):
+        base = idx * k
+        for w in adjsets[cell[0]]:
+            quotient[base + cell_id[w]] += 1
+    return tuple(len(c) for c in cells), tuple(quotient)
+
+
+def _leaf_code(adjsets: Sequence[frozenset[int]], perm: list[int]) -> bytes:
+    """Upper triangle of the adjacency matrix in the order ``perm``, packed."""
+    n = len(perm)
+    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
+    pos = 0
+    for i in range(n):
+        ai = adjsets[perm[i]]
+        for j in range(i + 1, n):
+            if perm[j] in ai:
+                bits[pos >> 3] |= 0x80 >> (pos & 7)
+            pos += 1
+    return bytes(bits)
+
+
+def _twin_representatives(adjsets: Sequence[frozenset[int]], cell: list[int]) -> list[int]:
+    """One vertex per twin class of the cell, the first in cell order.
+
+    Swapping two twins is an automorphism fixing the current cells, so
+    their subtrees agree.
+    """
+    reps: list[int] = []
+    for v in cell:
+        av = adjsets[v]
+        if not any(av.difference((u,)) == adjsets[u].difference((v,)) for u in reps):
+            reps.append(v)
+    return reps
+
+
+def _orbit_root(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _join_orbits(parent: list[int], gen: Sequence[int]) -> None:
+    """Merge the cycles of ``gen`` into the union-find ``parent``, whose
+    roots stay the least vertex of their orbit."""
+    for v, w in enumerate(gen):
+        a, b = _orbit_root(parent, v), _orbit_root(parent, w)
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+
+
+@dataclass
+class CanonicalReport:
+    """One canonical-form search: the code and the work it took.
+
+    ``leaves`` counts the discrete partitions reached; ``pruned`` counts the
+    branch children left unrefined or unsearched because a found
+    automorphism maps them onto an earlier child; ``generators`` holds the
+    automorphisms found, each as the tuple of vertex images.
+    """
+
+    code: bytes
+    leaves: int
+    pruned: int
+    generators: tuple[tuple[int, ...], ...]
+
+
+def canonical_code_report(n: int, adjsets: Sequence[frozenset[int]]) -> CanonicalReport:
+    """The search of ``canonical_code_of_sets``, with what it did."""
     header = b"G%d:" % n
     if n == 0:
-        return header
-    best: list[bytes | None] = [None]
+        return CanonicalReport(header, 0, 0, ())
+    generators: list[tuple[int, ...]] = []
+    # vertices individualized on the way to the current node, and for each
+    # node on that path its orbits (None while no automorphism fixes it)
+    path: list[int] = []
+    orbits: list[list[int] | None] = []
+    # (code, ordering, path) of the first leaf and of the least leaf so far
+    first = best = (b"", [0], ())
+    leaves = pruned = 0
 
-    def leaf_code(cells: list[list[int]]) -> bytes:
-        perm = [c[0] for c in cells]
-        bits = bytearray((n * (n - 1) // 2 + 7) // 8)
-        pos = 0
-        for i in range(n):
-            ai = adjsets[perm[i]]
-            for j in range(i + 1, n):
-                if perm[j] in ai:
-                    bits[pos >> 3] |= 0x80 >> (pos & 7)
-                pos += 1
-        return bytes(bits)
+    def visit_leaf(perm: list[int]) -> int:
+        """Record the leaf; return the depth of the node to resume at."""
+        nonlocal first, best, leaves
+        leaves += 1
+        code = _leaf_code(adjsets, perm)
+        if leaves == 1:
+            first = best = (code, perm, tuple(path))
+            return len(path)
+        if code == first[0]:
+            _, ref_perm, ref_path = first
+        elif code == best[0]:
+            _, ref_perm, ref_path = best
+        else:
+            if code < best[0]:
+                best = (code, perm, tuple(path))
+            return len(path)
+        gen = [0] * n
+        for a, b in zip(ref_perm, perm):
+            gen[a] = b
+        generators.append(tuple(gen))
+        # An individualized vertex keeps its position in the leaf ordering.
+        # So where the two paths part, the automorphism fixes every vertex
+        # individualized above and maps the earlier leaf's branch, already
+        # searched, onto this one, whose rest is therefore its image.
+        parted = 0
+        while path[parted] == ref_path[parted]:
+            parted += 1
+        for depth in range(parted + 1):
+            if orbits[depth] is None:
+                orbits[depth] = list(range(n))
+            _join_orbits(orbits[depth], gen)
+        return parted
 
-    def branch_targets(cell: list[int]) -> list[int]:
-        # one representative per twin class: swapping twins is an
-        # automorphism fixing the current cells, so their subtrees agree
-        reps: list[int] = []
-        for v in cell:
-            av = adjsets[v]
-            if not any(
-                av.difference((u,)) == adjsets[u].difference((v,)) for u in reps
-            ):
-                reps.append(v)
-        return reps
-
-    def search(cells: list[list[int]]) -> None:
+    def search(cells: list[list[int]]) -> int:
+        """Search the subtree; return the depth of the node to resume at."""
+        nonlocal pruned
         target = None
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 target = idx
                 break
         if target is None:
-            code = leaf_code(cells)
-            if best[0] is None or code < best[0]:
-                best[0] = code
-            return
+            return visit_leaf([c[0] for c in cells])
+        depth = len(path)
+        uf: list[int] | None = None
+        for g in generators:
+            if all(g[v] == v for v in path):
+                if uf is None:
+                    uf = list(range(n))
+                _join_orbits(uf, g)
+        orbits.append(uf)
         children = []
-        for v in branch_targets(cells[target]):
+        for v in _twin_representatives(adjsets, cells[target]):
+            if uf is not None and _orbit_root(uf, v) != v:
+                pruned += 1
+                continue
             rest = [w for w in cells[target] if w != v]
-            child = cells[:target] + [[v], rest] + cells[target + 1 :]
-            refined = _refine(adjsets, child)
-            children.append((_cell_invariant(adjsets, refined), refined))
-        minimal = min(inv for inv, _ in children)
-        for inv, refined in children:
-            if inv == minimal:
-                search(refined)
+            refined = _refine(adjsets, cells[:target] + [[v], rest] + cells[target + 1 :])
+            children.append((_cell_invariant(adjsets, refined), v, refined))
+        minimal = min(inv for inv, _, _ in children)
+        resume = depth
+        for inv, v, refined in children:
+            if inv != minimal:
+                continue
+            uf = orbits[depth]
+            if uf is not None and _orbit_root(uf, v) != v:
+                pruned += 1
+                continue
+            path.append(v)
+            resume = search(refined)
+            path.pop()
+            if resume < depth:
+                break
+        orbits.pop()
+        return min(resume, depth)
 
     search(_refine(adjsets, [sorted(range(n))]))
-    assert best[0] is not None
-    return header + best[0]
+    return CanonicalReport(header + best[0], leaves, pruned, tuple(generators))
+
+
+def canonical_code_of_sets(n: int, adjsets: Sequence[frozenset[int]]) -> bytes:
+    """Canonical form: equal codes exactly for isomorphic graphs.
+
+    Individualization-refinement search.  Each node is an equitable ordered
+    partition of the vertices; a child individualizes one vertex of the
+    first non-singleton cell and refines.  Only the children with the least
+    cell invariant among their siblings are searched, and the code is the
+    least packed adjacency matrix over the leaves (discrete partitions)
+    reached.
+
+    Refinement, the cell invariant and the leaf code all commute with
+    relabeling.  So an automorphism that fixes a node's individualized
+    vertices maps the subtree of one child onto the subtree of another,
+    leaf for leaf with equal codes, and searching only one of the two
+    leaves the least matrix, and so the code, unchanged.  Two rules use
+    this:
+
+    * Twin merging: of vertices whose neighbourhoods agree apart from each
+      other, only the first in the cell is branched on, since swapping two
+      twins is such an automorphism.
+    * Orbit pruning: two leaves with equal codes give an automorphism, the
+      map between their vertex orderings.  Each node keeps the orbits of
+      the automorphisms found so far that fix its individualized vertices
+      and skips a child whose orbit holds an earlier vertex of the cell;
+      cells stay ascending, so that vertex's subtree was searched or
+      skipped by the same argument.  Where the new leaf's path parts from
+      the earlier leaf's, the automorphism maps the earlier, already
+      searched branch onto the current one, so the rest of the current
+      branch is skipped as well.
+
+    A graph whose search finds no automorphism keeps no orbits at all.
+    Orbit pruning follows McKay and Piperno, "Practical graph isomorphism,
+    II", J. Symbolic Comput. 60 (2014), arXiv:1301.1493; unlike nauty, no
+    invariant is compared across branches, which keeps the code equal to
+    that of the unpruned search.  ``canonical_code_report`` runs the same
+    search and also returns what it did.
+    """
+    return canonical_code_report(n, adjsets).code
 
 
 def _adjsets(g: Graph) -> tuple[frozenset[int], ...]:

@@ -1,13 +1,19 @@
+import hashlib
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellgraphs.bell import FULL, at_least, at_most, build_bell, scramble
 from bellgraphs.graphs import (
     Graph,
     Graph6Error,
     canonical_code,
+    canonical_code_of_sets,
+    canonical_code_report,
     chromatic_number,
     claw_closure,
     complement,
@@ -195,6 +201,149 @@ class TestIsomorphism:
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert canonical_code(g.relabel(perm)) == canonical_code(g)
+
+
+def pinned_code_inputs():
+    """Codes the digest below pins: every graph on at most 6 vertices under
+    a seeded relabeling, then scrambled Bell graphs of edgeless hosts."""
+    rng = random.Random(20140101)
+    for n in range(7):
+        for g in generate_nonisomorphic_graphs(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield canonical_code(g.relabel(perm))
+    for n in (4, 5, 6):
+        for variant in (FULL, at_most(3), at_least(4)):
+            b = build_bell(empty_graph(n), variant)
+            for seed in (0, 1, 2):
+                yield scramble(b, seed).canonical_code()
+
+
+def complete_multipartite(parts):
+    return complement(disjoint_union(*(complete_graph(p) for p in parts)))
+
+
+def integer_partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for first in range(min(n, largest), 0, -1):
+        for rest in integer_partitions(n - first, first):
+            yield (first, *rest)
+
+
+def all_variants(n):
+    return [FULL, *(at_most(k) for k in range(1, n)), *(at_least(k) for k in range(2, n + 1))]
+
+
+@st.composite
+def bell_inputs(draw, max_n=5):
+    g = draw(small_graphs(max_n=max_n))
+    variant = draw(st.sampled_from(all_variants(g.n)))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2))
+    return build_bell(g, variant), seeds
+
+
+class TestCanonicalSearch:
+    # Computed with the unpruned search this one replaced; every cached code
+    # and the classify constants rely on codes never changing.
+    PINNED_DIGEST = "42ca2c61176a79fc105d5e7fd5e9675a11e25d15b99d82ccedf9b4915d207331"
+    EDGELESS6_FULL_DIGEST = "eb7dbfd7c99fe7994f5d867081b7392347f1b02aaf926bd9bbd2c7cbf518dd95"
+
+    def test_codes_are_pinned(self):
+        codes = list(pinned_code_inputs())
+        assert len(codes) == 236
+        assert hashlib.sha256(b"".join(codes)).hexdigest() == self.PINNED_DIGEST
+
+    def test_edgeless6_full_few_leaves(self):
+        u = scramble(build_bell(empty_graph(6), FULL), 7)
+        start = time.perf_counter()
+        report = canonical_code_report(u.m, u.adj)
+        elapsed = time.perf_counter() - start
+        assert u.m == 203
+        assert hashlib.sha256(report.code).hexdigest() == self.EDGELESS6_FULL_DIGEST
+        assert report.leaves <= 50
+        assert report.pruned > 0
+        assert elapsed < 2.0
+
+    def test_generators_are_automorphisms(self):
+        inputs = [scramble(build_bell(empty_graph(5), v), 3) for v in all_variants(5)]
+        inputs += [scramble(build_bell(complete_multipartite((2, 2, 1)), FULL), 4)]
+        found = 0
+        for u in inputs:
+            report = canonical_code_report(u.m, u.adj)
+            assert report.code == canonical_code_of_sets(u.m, u.adj)
+            for gen in report.generators:
+                assert sorted(gen) == list(range(u.m))
+                assert gen != tuple(range(u.m))
+                for v in range(u.m):
+                    assert {gen[w] for w in u.adj[v]} == u.adj[gen[v]]
+            found += len(report.generators)
+        assert found > 0
+
+    def test_asymmetric_graph_keeps_no_orbits(self):
+        # the smallest asymmetric graphs have 6 vertices; one of them
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (3, 5)])
+        report = canonical_code_report(g.n, tuple(frozenset(g.neighbors(v)) for v in range(g.n)))
+        assert report.generators == () and report.pruned == 0
+
+    def test_symmetric_bell_graphs_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        hosts = [g for n in range(1, 5) for g in generate_nonisomorphic_graphs(n)]
+        hosts += [complete_multipartite(p) for n in (5, 6) for p in integer_partitions(n)]
+        pairs = []
+        for g in hosts:
+            for variant in all_variants(g.n):
+                b = build_bell(g, variant)
+                c1, c2 = (scramble(b, seed).canonical_code() for seed in (1, 2))
+                assert c1 == c2, (g, variant)
+                pairs.append((c1, b))
+        # isomorphism classes by networkx, comparing within degree sequences
+        reps: dict[tuple[int, ...], list[tuple[int, object]]] = {}
+        classes = []
+        for _, b in pairs:
+            h = nx.Graph()
+            h.add_nodes_from(range(b.m))
+            h.add_edges_from(b.edges())
+            bucket = reps.setdefault(tuple(sorted(b.degree(i) for i in range(b.m))), [])
+            found = next((c for c, rep in bucket if nx.is_isomorphic(rep, h)), None)
+            if found is None:
+                found = sum(map(len, reps.values()))
+                bucket.append((found, h))
+            classes.append(found)
+        codes = [c for c, _ in pairs]
+        assert len(set(codes)) == len(set(classes)) == len(set(zip(codes, classes)))
+
+    def test_orbits_refinement_cannot_separate(self):
+        # Shrikhande and the 4x4 rook's graph are both strongly regular with
+        # parameters (16, 6, 2, 2): refinement after individualizing one
+        # vertex cannot tell their vertices apart, so a node branching on
+        # their union has children in two orbits with one invariant, and
+        # automorphisms found below the first orbit must not skip the
+        # second.  With a path in front, that node sits below the root.
+        def torus(steps):
+            return Graph.from_edges(16, {
+                tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
+                for a in range(4) for b in range(4) for da, db in steps
+            })
+
+        shrikhande = torus([(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)])
+        rook = torus([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)])
+        assert not is_isomorphic(shrikhande, rook)
+        rng = random.Random(2)
+        for g in (disjoint_union(shrikhande, rook), disjoint_union(path_graph(3), shrikhande, rook)):
+            codes = set()
+            for _ in range(6):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                codes.add(canonical_code(g.relabel(perm)))
+            assert len(codes) == 1
+
+    @given(bell_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_bell_code_invariant_under_relabeling(self, drawn):
+        b, (s1, s2) = drawn
+        assert scramble(b, s1).canonical_code() == scramble(b, s2).canonical_code()
 
 
 class TestGeneration:
