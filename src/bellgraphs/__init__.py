@@ -40,11 +40,12 @@ from .graphs import (
     generate_nonisomorphic_graphs,
     is_isomorphic,
     line_graph,
+    normalize_ddagger,
     strip_universal,
     to_graph6,
     universal_vertices,
 )
-from .lineroot import NotLineGraph, krausz_root, normalize_ddagger
+from .lineroot import NotLineGraph, krausz_root
 from .lower import (
     detect_k_regime,
     find_fat_partition,

@@ -20,10 +20,6 @@ VARIANT_AT_MOST = "at_most"
 VARIANT_AT_LEAST = "at_least"
 
 
-class BellSizeExceeded(RuntimeError):
-    """The Bell graph would have more vertices than the configured cap."""
-
-
 @dataclass(frozen=True)
 class BellVariant:
     """Which induced subgraph of the full Bell graph to build."""
@@ -110,8 +106,6 @@ def build_bell(g: Graph, variant: BellVariant, cap: int = 500_000) -> BellGraph:
     lo, hi = variant.part_bounds(g.n)
     parts = enumerate_partitions(g, lo, hi, cap=cap) if lo <= hi else []
     parts.sort(key=lambda p: p.blocks)
-    if len(parts) > cap:
-        raise BellSizeExceeded(f"{len(parts)} vertices exceed cap {cap}")
     index = {p: i for i, p in enumerate(parts)}
     nbrs: list[list[int]] = [[] for _ in parts]
     for i, p in enumerate(parts):
@@ -140,10 +134,6 @@ class UnlabeledGraph:
             sets[u].add(v)
             sets[v].add(u)
         return cls(tuple(frozenset(s) for s in sets))
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "UnlabeledGraph":
-        return cls.from_edges(g.n, g.edges())
 
     @property
     def m(self) -> int:
@@ -207,12 +197,12 @@ def scramble_with_map(b: BellGraph, seed: int) -> tuple[UnlabeledGraph, tuple[in
     rng = random.Random(seed)
     perm = list(range(b.m))
     rng.shuffle(perm)
-    sets: list[set[int]] = [set() for _ in range(b.m)]
-    for i in range(b.m):
-        pi = perm[i]
-        for j in b.neighbors[i]:
-            sets[pi].add(perm[j])
-    return UnlabeledGraph(tuple(frozenset(s) for s in sets)), tuple(perm)
+    adj: list[frozenset[int]] = [frozenset()] * b.m
+    for i, nb in enumerate(b.neighbors):
+        # Built from a set, a frozenset's table fits its size; built from a
+        # list it can be twice as large, which the held scrambles would pay.
+        adj[perm[i]] = frozenset({perm[j] for j in nb})
+    return UnlabeledGraph(tuple(adj)), tuple(perm)
 
 
 def scramble(b: BellGraph, seed: int) -> UnlabeledGraph:

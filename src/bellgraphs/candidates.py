@@ -198,20 +198,3 @@ def psi_map(b: BellGraph, p: int, q: int) -> tuple[tuple[int, int], int]:
                     return tuple(sorted((moved, w))), kind  # type: ignore[return-value]
     raise ValueError(f"neighbour shape matches no type: {P.to_text()} -> {Q.to_text()}")
 
-
-def diagnostics(b: UnlabeledGraph) -> list[dict]:
-    """Per-vertex table used by the verification harness (JSON-friendly)."""
-    out = []
-    for v in range(b.m):
-        stats = neighbourhood_stats(b, v)
-        out.append(
-            {
-                "vertex": v,
-                "degree": stats.degree,
-                "n_stat": stats.n_stat,
-                "t_stat": stats.t_stat,
-                "prop1": satisfies_property1(b, v),
-                "prop2": satisfies_property2(b, v),
-            }
-        )
-    return out

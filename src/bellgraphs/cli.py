@@ -39,21 +39,16 @@ def _read_graph_text(arg: str) -> str:
     return arg.strip()
 
 
-def _emit(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _emit(payload: dict, path: str | None) -> None:
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _variant_from_args(args: argparse.Namespace):

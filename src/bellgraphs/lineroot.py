@@ -1,17 +1,21 @@
 """Line-graph recognition and root recovery via Krausz decompositions.
 
 A graph is a line graph exactly when its edge set partitions into cliques
-with every vertex in at most two of them.  The search below finds such a
-decomposition by backtracking (largest candidate cliques first, failed
-cover states memoized) and rebuilds a root graph from it; callers that
-need a canonical root apply normalize_ddagger, which quotients out the
-triangle/claw ambiguity and forgotten isolated vertices.
+with every vertex in at most two of them (Krausz, 1943).  The search below
+finds such a decomposition by plain backtracking: it covers the least
+uncovered edge with each usable clique through it, largest first, and
+undoes the choice when the rest cannot be covered.  Nothing is memoized,
+because whether a set of uncovered edges can still be covered also depends
+on how many cliques each vertex already lies in.  A root graph is rebuilt
+from the decomposition; callers that need a canonical root apply
+graphs.normalize_ddagger, which quotients out the triangle/claw ambiguity
+and forgotten isolated vertices.
 """
 from __future__ import annotations
 
-from .graphs import Graph, normalize_ddagger  # re-exported: part of this module's API
+from .graphs import Graph
 
-__all__ = ["NotLineGraph", "krausz_root", "normalize_ddagger"]
+__all__ = ["NotLineGraph", "krausz_root"]
 
 
 class NotLineGraph(ValueError):
@@ -57,28 +61,15 @@ def krausz_root(l: Graph) -> Graph:
     When several roots exist (triangle versus claw components) the first
     one found is returned; callers normalize with normalize_ddagger.
     """
-    edges = l.edges()
-    edge_pos = {e: i for i, e in enumerate(edges)}
-    uncovered = set(edges)
+    uncovered = set(l.edges())
     load = [0] * l.n
     cliques: list[tuple[int, ...]] = []
-    failed: set[int] = set()
-
-    def cover_mask() -> int:
-        mask = 0
-        for e in uncovered:
-            mask |= 1 << edge_pos[e]
-        return mask
 
     def solve() -> bool:
         if not uncovered:
             return True
-        state = cover_mask()
-        if state in failed:
-            return False
         u, v = min(uncovered)
         if load[u] >= 2 or load[v] >= 2:
-            failed.add(state)
             return False
         options = _candidate_cliques(l, u, v, load, uncovered)
         options.sort(key=len, reverse=True)
@@ -100,7 +91,6 @@ def krausz_root(l: Graph) -> Graph:
             for e in internal:
                 uncovered.add(e)
             cliques.pop()
-        failed.add(state)
         return False
 
     if not solve():

@@ -26,7 +26,7 @@ class SetPartition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "SetPartition":
-        canon = sorted(tuple(sorted(b)) for b in blocks if len(tuple(b)))
+        canon = sorted(t for t in (tuple(sorted(b)) for b in blocks) if t)
         flat = [v for b in canon for v in b]
         if len(set(flat)) != len(flat):
             raise ValueError("blocks are not pairwise disjoint")

@@ -24,9 +24,10 @@ from .graphs import (
     empty_graph,
     induced_subgraph,
     is_claw_component,
+    normalize_ddagger,
     path_graph,
 )
-from .lineroot import NotLineGraph, krausz_root, normalize_ddagger
+from .lineroot import NotLineGraph, krausz_root
 
 REGIME_EMPTY = "empty"
 REGIME_SINGLE_VERTEX = "single_vertex"

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 
 from bellgraphs.bell import (
     FULL,
-    BellSizeExceeded,
     BellVariant,
     UnlabeledGraph,
     at_least,
@@ -26,7 +25,7 @@ from bellgraphs.graphs import (
     star_graph,
     to_graph6,
 )
-from bellgraphs.partitions import are_adjacent, singleton_partition
+from bellgraphs.partitions import PartitionCapExceeded, are_adjacent, singleton_partition
 
 from .test_graphs import small_graphs
 
@@ -77,7 +76,7 @@ class TestBuild:
         assert b.m == 1 and b.vertices[0].blocks == ()
 
     def test_cap(self):
-        with pytest.raises((BellSizeExceeded, Exception)):
+        with pytest.raises(PartitionCapExceeded):
             build_bell(empty_graph(8), FULL, cap=10)
 
     @given(small_graphs(max_n=4))

@@ -5,7 +5,6 @@ from bellgraphs.candidates import (
     TYPE_MERGE,
     TYPE_SPLIT_PAIR,
     TYPE_SPLIT_TRIPLE,
-    diagnostics,
     neighbourhood_stats,
     pstar_candidates,
     psi_map,
@@ -143,14 +142,3 @@ class TestPsi:
         assert images == non_edges
         assert len(b.neighbors[p]) == len(non_edges)
 
-
-class TestDiagnostics:
-    def test_table_shape(self):
-        b = build_bell(empty_graph(3), FULL)
-        table = diagnostics(b.as_unlabeled())
-        assert len(table) == 5
-        assert {row["vertex"] for row in table} == set(range(5))
-        assert all(
-            set(row) == {"vertex", "degree", "n_stat", "t_stat", "prop1", "prop2"}
-            for row in table
-        )

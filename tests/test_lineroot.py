@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bellgraphs.graphs import (
@@ -7,12 +9,15 @@ from bellgraphs.graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    from_graph6,
     generate_nonisomorphic_graphs,
     is_isomorphic,
     line_graph,
+    normalize_ddagger,
     star_graph,
+    to_graph6,
 )
-from bellgraphs.lineroot import NotLineGraph, krausz_root, normalize_ddagger
+from bellgraphs.lineroot import NotLineGraph, krausz_root
 
 
 def graphs_with_m_edges(m):
@@ -62,6 +67,23 @@ class TestKrauszRoot:
                 root = krausz_root(line_graph(g))
                 assert is_isomorphic(line_graph(root), line_graph(g))
                 assert is_isomorphic(normalize_ddagger(root), normalize_ddagger(g))
+
+    def test_relabelled_line_graph_of_dqw(self):
+        # L(DQw) under a labelling that makes the search backtrack past a
+        # cover whose uncovered edges it has already seen with other loads.
+        l = from_graph6("DvG")
+        assert is_isomorphic(line_graph(krausz_root(l)), l)
+
+    def test_roundtrip_relabelled(self):
+        rng = random.Random(2604)
+        for n in range(2, 7):
+            for g in generate_nonisomorphic_graphs(n):
+                lg = line_graph(g)
+                for _ in range(3):
+                    perm = list(range(lg.n))
+                    rng.shuffle(perm)
+                    l = lg.relabel(perm)
+                    assert is_isomorphic(line_graph(krausz_root(l)), l), to_graph6(l)
 
     def test_rejects_exactly_non_line_graphs(self):
         for n in range(0, 6):

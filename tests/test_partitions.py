@@ -51,6 +51,10 @@ class TestSetPartition:
         assert SetPartition.from_text("0,2|1|3,4") == p
         assert SetPartition.from_text("") == SetPartition(())
 
+    def test_one_shot_blocks(self):
+        p = SetPartition.from_blocks(iter(b) for b in [[2, 0], [], [1]])
+        assert p.blocks == ((0, 2), (1,))
+
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             SetPartition.from_blocks([[0, 1], [1, 2]])
