@@ -1,10 +1,12 @@
 """Materialized Bell colouring graphs and their unlabeled counterparts.
 
-A BellGraph keeps its partition payloads (one per vertex, in canonical
-sorted order, so construction is byte-reproducible); an UnlabeledGraph is
-adjacency structure only and is what the reconstruction algorithms accept.
-Edges are built by generating the legal moves of each vertex and looking
-the results up by canonical key, never by all-pairs comparison.
+A BellGraph keeps its partition payloads, one per vertex, sorted by
+`SetPartition.blocks`, so construction is byte-reproducible; an
+UnlabeledGraph is adjacency structure only and is what the reconstruction
+algorithms accept.  The build identifies each partition by its block-mask
+key (`SetPartition.masks`) and indexes the keys by dict.  A vertex's row is
+its own move list from `neighbors_of`, looked up by key: the move relation
+is symmetric, so no all-pairs comparison and no second pass is needed.
 """
 from __future__ import annotations
 
@@ -76,13 +78,15 @@ class BellGraph:
         self.variant = variant
         self.vertices = vertices
         self.neighbors = neighbors
-        self._index = {p: i for i, p in enumerate(vertices)}
+        self._index: dict[SetPartition, int] | None = None
 
     @property
     def m(self) -> int:
         return len(self.vertices)
 
     def index_of(self, p: SetPartition) -> int:
+        if self._index is None:
+            self._index = {q: i for i, q in enumerate(self.vertices)}
         return self._index[p]
 
     def degree(self, i: int) -> int:
@@ -99,22 +103,19 @@ class BellGraph:
 
     def as_unlabeled(self) -> "UnlabeledGraph":
         """Identity-labeled view; vertex i here is vertex i there."""
-        return UnlabeledGraph(tuple(frozenset(nb) for nb in self.neighbors))
+        # Built from a set, a frozenset's table fits its size (see
+        # scramble_with_map); built from a tuple it is sized for growth.
+        return UnlabeledGraph(tuple(frozenset(set(nb)) for nb in self.neighbors))
 
 
 def build_bell(g: Graph, variant: BellVariant, cap: int = 500_000) -> BellGraph:
     lo, hi = variant.part_bounds(g.n)
     parts = enumerate_partitions(g, lo, hi, cap=cap) if lo <= hi else []
     parts.sort(key=lambda p: p.blocks)
-    index = {p: i for i, p in enumerate(parts)}
-    nbrs: list[list[int]] = [[] for _ in parts]
-    for i, p in enumerate(parts):
-        for q in neighbors_of(g, p, lo, hi):
-            j = index[q]
-            if j > i:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-    return BellGraph(g, variant, tuple(parts), tuple(tuple(sorted(nb)) for nb in nbrs))
+    keys = [p.masks for p in parts]
+    index = {key: i for i, key in enumerate(keys)}
+    rows = tuple(tuple(sorted([index[q] for q in neighbors_of(g, key, lo, hi)])) for key in keys)
+    return BellGraph(g, variant, tuple(parts), rows)
 
 
 class UnlabeledGraph:

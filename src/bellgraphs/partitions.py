@@ -1,10 +1,15 @@
 """Canonical independent-set partitions and the single-vertex-move relation.
 
-A partition is stored in a canonical form (each block ascending, blocks
-ordered by first element), so structural equality and hashing are the
-universal identity.  Two partitions are adjacent when one is obtained from
-the other by changing the part of exactly one vertex: moving it into
-another existing part, or splitting it off as a new singleton.
+A partition has two forms.  `SetPartition` is the payload: each block
+ascending, blocks ordered by first element, so structural equality and
+hashing are its identity and sorting by `blocks` gives the Bell graphs'
+vertex order.  Its key, `SetPartition.masks`, is the ascending tuple of its
+block bitmasks; the Bell graph build identifies partitions by key, and
+`neighbors_of` moves vertices on keys by bit operations.  Two partitions
+are adjacent when one is obtained from the other by changing the part of
+exactly one vertex: moving it into another existing part, or splitting it
+off as a new singleton.  `are_adjacent` decides that on payloads and is the
+independent reference for `neighbors_of`.
 """
 from __future__ import annotations
 
@@ -31,6 +36,16 @@ class SetPartition:
         if len(set(flat)) != len(flat):
             raise ValueError("blocks are not pairwise disjoint")
         return cls(tuple(canon))
+
+    @classmethod
+    def from_masks(cls, masks: Iterable[int]) -> "SetPartition":
+        """The partition whose blocks are the set bits of each mask."""
+        return cls.from_blocks([v for v in range(m.bit_length()) if m >> v & 1] for m in masks)
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The key: the ascending tuple of the block bitmasks."""
+        return tuple(sorted([sum([1 << v for v in b]) for b in self.blocks]))
 
     @property
     def part_count(self) -> int:
@@ -163,47 +178,55 @@ def are_adjacent(p: SetPartition, q: SetPartition) -> bool:
     return False
 
 
-def _moved_partition(
-    blocks: list[tuple[int, ...]], source: int, u: int, target: int | None
-) -> SetPartition:
-    new_blocks: list[tuple[int, ...]] = []
-    for i, b in enumerate(blocks):
-        if i == source:
-            rest = tuple(x for x in b if x != u)
-            if rest:
-                new_blocks.append(rest)
-        elif target is not None and i == target:
-            new_blocks.append(tuple(sorted(b + (u,))))
-        else:
-            new_blocks.append(b)
-    if target is None:
-        new_blocks.append((u,))
-    new_blocks.sort()
-    return SetPartition(tuple(new_blocks))
-
-
 def neighbors_of(
-    g: Graph, p: SetPartition, min_parts: int, max_parts: int
-) -> list[SetPartition]:
-    """All single-vertex moves from p staying within the part-count bounds.
+    g: Graph, key: tuple[int, ...], min_parts: int, max_parts: int
+) -> list[tuple[int, ...]]:
+    """The keys of all single-vertex moves from key within the part-count
+    bounds, each once.
 
-    Agrees with filtering enumerate_partitions by are_adjacent; the two
-    routes to a merge of singletons collapse to one partition here.
+    Moving vertex u out of block A into block B (or into a new singleton)
+    replaces A and B by A - u and B + u.  Two such moves give the same
+    partition only when a singleton joins another singleton, which either
+    one can do, or when a 2-vertex block is split, at either vertex.  So a
+    singleton joins another singleton only if that one's mask is larger,
+    and a 2-vertex block is split at its lower vertex only.  The relation
+    is symmetric, so the list is the partition's whole neighbourhood; the
+    build calls this once per vertex and so generates every edge from both
+    ends, which is why ``kept_ratio`` reads 0.5.
     """
-    blocks = list(p.blocks)
-    masks = [sum(1 << v for v in b) for b in blocks]
-    k = len(blocks)
-    seen: set[SetPartition] = set()
-    for bi, block in enumerate(blocks):
-        size = len(block)
-        for u in block:
-            if size >= 2 and k + 1 <= max_parts:
-                seen.add(_moved_partition(blocks, bi, u, None))
-            row = g.adj[u]
-            new_count = k - 1 if size == 1 else k
-            if new_count < min_parts:
-                continue
-            for bj in range(k):
-                if bj != bi and not masks[bj] & row:
-                    seen.add(_moved_partition(blocks, bi, u, bj))
-    return sorted(seen, key=lambda s: s.blocks)
+    adj = g.adj
+    out: list[tuple[int, ...]] = []
+    can_split = len(key) < max_parts
+    can_merge = len(key) > min_parts
+    for i, src in enumerate(key):
+        if not src & (src - 1):
+            if can_merge:
+                row = adj[src.bit_length() - 1]
+                for j, dst in enumerate(key):
+                    if j != i and not dst & row and (dst > src or dst & (dst - 1)):
+                        moved = list(key)
+                        moved[j] = dst | src
+                        del moved[i]
+                        moved.sort()
+                        out.append(tuple(moved))
+            continue
+        low = src & -src
+        pair = not (src ^ low) & (src ^ low) - 1
+        bits = src
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            if can_split and (bit == low or not pair):
+                moved = [*key, bit]
+                moved[i] = src ^ bit
+                moved.sort()
+                out.append(tuple(moved))
+            row = adj[bit.bit_length() - 1]
+            for j, dst in enumerate(key):
+                if j != i and not dst & row:
+                    moved = list(key)
+                    moved[i] = src ^ bit
+                    moved[j] = dst | bit
+                    moved.sort()
+                    out.append(tuple(moved))
+    return out

@@ -264,10 +264,11 @@ def _suite_partitions(n_max: int, seeds: int) -> list[SuiteItem]:
         detail = None
         for p in parts:
             via_filter = {q for q in parts if are_adjacent(p, q)}
-            via_moves = set(neighbors_of(g, p, 1, g.n))
-            if via_filter != via_moves:
+            keys = neighbors_of(g, p.masks, 1, g.n)
+            via_moves = {SetPartition.from_masks(q) for q in keys}
+            if via_filter != via_moves or len(keys) != len(set(keys)):
                 oracle_ok = False
-                detail = {"partition": p.to_text()}
+                detail = {"partition": p.to_text(), "moves": len(keys), "want": len(via_filter)}
                 break
         items.append(_item("neighbour-oracle", host, oracle_ok, detail=detail))
         if g.n <= 4:
@@ -292,9 +293,8 @@ def _suite_partitions(n_max: int, seeds: int) -> list[SuiteItem]:
                 if g.has_edge(u, v):
                     continue
                 blocks = [(u, v)] + [(w,) for w in range(g.n) if w not in (u, v)]
-                p = SetPartition.from_blocks(blocks)
-                nbs = neighbors_of(g, p, 1, g.n)
-                ok = ok and nbs.count(singleton_partition(g.n)) == 1
+                nbs = neighbors_of(g, SetPartition.from_blocks(blocks).masks, 1, g.n)
+                ok = ok and nbs.count(singleton_partition(g.n).masks) == 1
         items.append(_item("degenerate-split-identity", host, ok))
     return items
 

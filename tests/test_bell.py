@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from bellgraphs.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    generate_nonisomorphic_graphs,
+    matching_graph,
     path_graph,
     star_graph,
     to_graph6,
@@ -47,7 +51,29 @@ class TestVariant:
             BellVariant("sideways")
 
 
+def pinned_builds():
+    """Lines the build digest below pins: for every host on at most 5
+    vertices and every variant, a header, then each vertex's partition text
+    and its neighbour row, in vertex order."""
+    for n in range(6):
+        for g in generate_nonisomorphic_graphs(n):
+            variants = [FULL, *(at_most(k) for k in range(1, n + 2)),
+                        *(at_least(k) for k in range(1, n + 2))]
+            for variant in variants:
+                b = build_bell(g, variant)
+                yield f"{to_graph6(g)} {variant.label()} {b.m}\n"
+                for p, row in zip(b.vertices, b.neighbors):
+                    yield f"{p.to_text()}:{','.join(map(str, row))}\n"
+
+
 class TestBuild:
+    PINNED_DIGEST = "0983e27f8d2c836335433f5c1b274eb73ecdfedbb96c57039d07e49d68134010"
+
+    def test_output_is_pinned(self):
+        lines = list(pinned_builds())
+        assert len(lines) == 4693
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == self.PINNED_DIGEST
+
     def test_clique_single_vertex(self):
         for n in (1, 3, 5):
             b = build_bell(complete_graph(n), FULL)
@@ -129,6 +155,12 @@ class TestScramble:
 
 
 class TestUnlabeled:
+    def test_rows_fit_their_size(self):
+        # a frozenset built from a tuple is sized for growth, from a set to fit
+        u = build_bell(matching_graph(8, 2), at_most(4)).as_unlabeled()
+        size = sum(sys.getsizeof(row) for row in u.adj)
+        assert size == sum(sys.getsizeof(frozenset(set(row))) for row in u.adj)
+
     def test_from_edges_and_queries(self):
         u = UnlabeledGraph.from_edges(4, [(0, 1), (1, 2)])
         assert u.m == 4 and u.degree(1) == 2 and not u.has_edge(0, 2)

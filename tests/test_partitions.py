@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellgraphs.graphs import Graph, complete_graph, empty_graph, path_graph
+from bellgraphs.graphs import (
+    Graph,
+    complete_graph,
+    empty_graph,
+    generate_nonisomorphic_graphs,
+    path_graph,
+)
 from bellgraphs.partitions import (
     PartitionCapExceeded,
     SetPartition,
@@ -145,32 +151,56 @@ class TestAdjacency:
             assert are_adjacent(p, q) == are_adjacent(q, p)
 
 
+def moves(g, p, lo, hi):
+    """neighbors_of on p's key, as payloads."""
+    return [SetPartition.from_masks(q) for q in neighbors_of(g, p.masks, lo, hi)]
+
+
+class TestMasks:
+    def test_key_is_ascending_block_masks(self):
+        p = SetPartition.from_text("0,2|1|3,4")
+        assert p.masks == (0b00010, 0b00101, 0b11000)
+
+    def test_roundtrip(self):
+        for p in enumerate_partitions(path_graph(5), 1, 5):
+            assert SetPartition.from_masks(p.masks) == p
+        assert SetPartition.from_masks(()) == SetPartition(())
+
+    def test_overlapping_masks_rejected(self):
+        with pytest.raises(ValueError):
+            SetPartition.from_masks((0b011, 0b110))
+
+
 class TestNeighbors:
     def test_empty3_singletons(self):
-        got = neighbors_of(empty_graph(3), singleton_partition(3), 1, 3)
-        assert {p.to_text() for p in got} == {"0,1|2", "0,2|1", "0|1,2"}
+        got = moves(empty_graph(3), singleton_partition(3), 1, 3)
+        assert sorted(p.to_text() for p in got) == ["0,1|2", "0,2|1", "0|1,2"]
 
     def test_clique_no_moves(self):
-        assert neighbors_of(complete_graph(3), singleton_partition(3), 1, 3) == []
+        assert neighbors_of(complete_graph(3), singleton_partition(3).masks, 1, 3) == []
 
     def test_pair_block_example(self):
-        got = neighbors_of(empty_graph(3), SetPartition.from_text("0,1|2"), 1, 3)
-        assert {p.to_text() for p in got} == {"0|1|2", "0,1,2", "0,2|1", "0|1,2"}
+        got = moves(empty_graph(3), SetPartition.from_text("0,1|2"), 1, 3)
+        assert sorted(p.to_text() for p in got) == ["0,1,2", "0,2|1", "0|1,2", "0|1|2"]
 
     def test_split_routes_collapse(self):
         # splitting either element of a 2-block lands on the same partition
-        got = neighbors_of(empty_graph(4), SetPartition.from_text("0,1|2|3"), 1, 4)
-        assert got.count(singleton_partition(4)) == 1
+        got = neighbors_of(empty_graph(4), SetPartition.from_text("0,1|2|3").masks, 1, 4)
+        assert got.count(singleton_partition(4).masks) == 1
 
     def test_oracle_equivalence(self):
-        for g in [path_graph(4), empty_graph(4), complete_graph(4), Graph.from_edges(4, [(0, 1)])]:
-            for lo, hi in [(1, g.n), (2, 3), (1, 2)]:
-                parts = enumerate_partitions(g, lo, hi)
-                for p in parts:
-                    via_filter = {q for q in parts if are_adjacent(p, q)}
-                    assert set(neighbors_of(g, p, lo, hi)) == via_filter
+        # each move once: a repeated key would be a repeated neighbour index
+        for n in range(6):
+            for g in generate_nonisomorphic_graphs(n):
+                for lo, hi in {(0 if n == 0 else 1, n), (2, 3), (1, 2), (n - 1, n)}:
+                    parts = enumerate_partitions(g, lo, hi)
+                    for p in parts:
+                        got = neighbors_of(g, p.masks, lo, hi)
+                        assert len(got) == len(set(got))
+                        assert {SetPartition.from_masks(q) for q in got} == {
+                            q for q in parts if are_adjacent(p, q)}
 
     def test_bounds_respected(self):
         p = SetPartition.from_text("0,1|2|3")
-        for q in neighbors_of(empty_graph(4), p, 3, 3):
+        for q in moves(empty_graph(4), p, 3, 3):
             assert q.part_count == 3
