@@ -47,13 +47,20 @@ from .graphs import (
 )
 from .lineroot import NotLineGraph, krausz_root
 from .lower import (
+    NoCertifiedCandidate,
     detect_k_regime,
     find_fat_partition,
     is_double_closed,
     reconstruct_from_bk,
     reconstruction_candidates,
 )
-from .partitions import SetPartition, are_adjacent, enumerate_partitions, neighbors_of
+from .partitions import (
+    SetPartition,
+    are_adjacent,
+    count_partitions,
+    enumerate_partitions,
+    neighbors_of,
+)
 from .suites import conjecture_search, run_suite
 from .upper import phi, reconstruct_prime, reconstruct_upper_auto
 

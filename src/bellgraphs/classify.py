@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bell import BellGraph, at_least, build_bell
+from .bell import at_least, build_bell
 from .graphs import (
     Graph,
     canonical_code,
@@ -22,6 +22,7 @@ from .graphs import (
     path_graph,
     strip_universal,
 )
+from .partitions import PartitionCapExceeded, count_partitions
 
 
 @lru_cache(maxsize=None)
@@ -40,13 +41,8 @@ def _chi(g: Graph) -> int:
 
 
 @lru_cache(maxsize=None)
-def _upper_bell(g: Graph, k: int, cap: int) -> BellGraph:
-    return build_bell(g, at_least(k), cap=cap)
-
-
-@lru_cache(maxsize=None)
 def _upper_bell_code(g: Graph, k: int, cap: int) -> bytes:
-    return _upper_bell(g, k, cap).as_unlabeled().canonical_code()
+    return build_bell(g, at_least(k), cap=cap).as_unlabeled().canonical_code()
 
 
 _EMPTY3_CODE = canonical_code(empty_graph(3))
@@ -60,8 +56,8 @@ def classify_pair(
     """True plus the satisfied condition numbers when the two at-least-k
     Bell graphs are isomorphic; (False, []) otherwise.
 
-    Condition 6 computes the Bell graph orders by enumeration, so a cap
-    applies there; everything else is small-graph arithmetic.
+    Condition 6 counts the Bell graph orders, so a cap applies there;
+    everything else is small-graph arithmetic.
     """
     if k1 < 1 or k2 < 1:
         raise ValueError("part bounds must be at least 1")
@@ -91,7 +87,9 @@ def classify_pair(
     for g, k in sides:
         if k > g.n - 1:
             break
-        order = _upper_bell(g, k, cap).m
+        order = count_partitions(g, k, g.n, cap)
+        if order > cap:
+            raise PartitionCapExceeded(f"more than {cap} partitions for n={g.n}, k={k}")
         target = disjoint_union(complete_graph(order - 1), complete_graph(1))
         if _gprime_code(g) != canonical_code(target):
             break

@@ -81,12 +81,16 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         info = reconstruct_from_bk_report(u)
         payload = {
             "mode": "lower",
-            "regime": info["regime"],
-            "component_count": info["component_count"],
-            "candidate_count": len(info["candidates"]),
-            "candidate_edge_counts": info["candidate_edge_counts"],
-            "pivot": info["pivot"],
-            "result_graph6": to_graph6(info["result"]),
+            "rule": info.rule,
+            "component_count": info.component_count,
+            "pivot": info.pivot,
+            "bound": info.bound,
+            "tried": [
+                {"pivot": a.pivot, "rule": a.rule, "edge_count": a.edge_count,
+                 "passed": a.passed}
+                for a in info.tried
+            ],
+            "result_graph6": to_graph6(info.result),
         }
         _emit(payload, args.out)
         return 0

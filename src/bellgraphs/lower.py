@@ -3,20 +3,32 @@
 The pipeline: find the vertices whose open neighbourhood has the maximal
 number of connected components (one component per host vertex when a
 partition into chromatic-number-many parts of size at least 4 exists),
-detect whether the part bound exceeds the chromatic number by exactly one
-or by more (via double-closed neighbour pairs), build a candidate host
-graph from each maximal vertex by inspecting common neighbourhoods at
-distance two, and return a largest non-complete candidate.
+then walk them in order.  At each one, build a candidate host graph by
+inspecting common neighbourhoods at distance two, first under the rule for
+a part bound one above the chromatic number and then under the rule for a
+larger bound.  The first candidate H that passes a certificate is the
+answer: its independent-set partitions into at most J parts number exactly
+the input's order, for some bound J.  A complete candidate never passes,
+since its one partition is the input's order only on a single-vertex
+input, whose candidate has no vertices at all.  If none passes, the input
+is outside what the walk can recover and a typed error lists every
+candidate tried.  The certificate is a necessary condition, not an
+isomorphism proof: a graph with the same partition count as the host
+passes it too.
 
-Also here: the constructive finder for a partition into exactly
-chromatic-number-many independent parts, each of size at least 4, which
-exists whenever the maximum degree is below n/9 - 1/3.
+Also here: `detect_k_regime`, which tells the two regimes apart by
+double-closed neighbour pairs and which the walk does not need; and the
+constructive finder for a partition into exactly chromatic-number-many
+independent parts, each of size at least 4, which exists whenever the
+maximum degree is below n/9 - 1/3.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .bell import UnlabeledGraph
 from .graphs import Graph, chromatic_number, optimal_colouring
-from .partitions import SetPartition
+from .partitions import SetPartition, count_partitions
 
 REGIME_K_EQ_CHI_PLUS_1 = "k_eq_chi_plus_1"
 REGIME_K_GT_CHI_PLUS_1 = "k_gt_chi_plus_1"
@@ -24,10 +36,6 @@ REGIME_K_GT_CHI_PLUS_1 = "k_gt_chi_plus_1"
 
 class Stuck(RuntimeError):
     """No improving move although a small part remains (never expected)."""
-
-
-class AllComplete(RuntimeError):
-    """Every candidate graph is complete: the caller's promise was violated."""
 
 
 class PreconditionViolated(ValueError):
@@ -332,32 +340,80 @@ def candidate_graph(b: UnlabeledGraph, p: int, regime: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def reconstruct_from_bk_report(b: UnlabeledGraph) -> dict:
+def certified_bound(h: Graph, m: int) -> int | None:
+    """The part bound J whose at-most-J partition count of h is m, if any.
+
+    The count grows strictly with J from the chromatic number up to the
+    vertex count, so it is added up one part count at a time and stops as
+    soon as it passes m.
+    """
+    total = 0
+    for j in range(1, h.n + 1):
+        total += count_partitions(h, j, j, m - total)
+        if total >= m:
+            return j if total == m else None
+    return None
+
+
+@dataclass(frozen=True)
+class Attempt:
+    """One candidate graph the walk built, and whether it passed the
+    certificate."""
+
+    pivot: int
+    rule: str
+    edge_count: int
+    passed: bool
+
+
+@dataclass(frozen=True)
+class LowerReport:
+    """The accepted candidate, where it came from, and everything tried.
+
+    `rule` is the candidate-graph rule that produced the answer, not the
+    true regime: on edgeless hosts the k = chi + 1 rule passes at every
+    bound.  `bound` is the part bound the certificate matched.
+    """
+
+    rule: str
+    component_count: int
+    pivot: int
+    bound: int
+    result: Graph
+    tried: tuple[Attempt, ...]
+
+
+class NoCertifiedCandidate(RuntimeError):
+    """No candidate graph passed the certificate; `tried` lists them all."""
+
+    def __init__(self, tried: tuple[Attempt, ...]) -> None:
+        super().__init__(f"none of {len(tried)} candidate graphs passed the certificate")
+        self.tried = tried
+
+
+def reconstruct_from_bk_report(b: UnlabeledGraph) -> LowerReport:
     """Full pipeline with diagnostics; see reconstruct_from_bk."""
     c_max, cands = reconstruction_candidates(b)
-    regime = detect_k_regime(b, cands)
-    built = [(p, candidate_graph(b, p, regime)) for p in cands]
-    non_complete = [(p, g) for p, g in built if not g.is_complete()]
-    if not non_complete:
-        raise AllComplete("every candidate graph is complete")
-    # ties at maximal edge count are mutually isomorphic; the adjacency-key
-    # tie-break is deterministic and avoids canonicalizing every candidate
-    best = min(non_complete, key=lambda item: (-item[1].edge_count(), item[1].adj))
-    return {
-        "regime": regime,
-        "component_count": c_max,
-        "candidates": [p for p, _ in built],
-        "candidate_edge_counts": [g.edge_count() for _, g in built],
-        "pivot": best[0],
-        "result": best[1],
-    }
+    tried: list[Attempt] = []
+    for p in cands:
+        for rule in (REGIME_K_EQ_CHI_PLUS_1, REGIME_K_GT_CHI_PLUS_1):
+            h = candidate_graph(b, p, rule)
+            bound = certified_bound(h, b.m)
+            tried.append(Attempt(p, rule, h.edge_count(), bound is not None))
+            if bound is not None:
+                return LowerReport(rule, c_max, p, bound, h, tuple(tried))
+    raise NoCertifiedCandidate(tuple(tried))
 
 
 def reconstruct_from_bk(b: UnlabeledGraph) -> Graph:
     """Recover the host graph from its at-most-k Bell graph.
 
-    Caller promises the host has max degree below n/9 - 1/3 and the part
-    bound exceeds its chromatic number.  Returns a maximum-edge-count
-    non-complete candidate; ties go to the lowest adjacency key.
+    Walks the vertices of maximal component count in order and returns the
+    first candidate graph whose independent-set partitions
+    into at most J parts number exactly the input's order, for some J.
+    That is a necessary condition, not an isomorphism proof.  Raises
+    NoCertifiedCandidate when no candidate passes.  The answer is the host
+    when its max degree is below n/9 - 1/3 and the part bound exceeds its
+    chromatic number.
     """
-    return reconstruct_from_bk_report(b)["result"]
+    return reconstruct_from_bk_report(b).result

@@ -9,7 +9,8 @@ block bitmasks; the Bell graph build identifies partitions by key, and
 are adjacent when one is obtained from the other by changing the part of
 exactly one vertex: moving it into another existing part, or splitting it
 off as a new singleton.  `are_adjacent` decides that on payloads and is the
-independent reference for `neighbors_of`.
+independent reference for `neighbors_of`.  `count_partitions` counts what
+`enumerate_partitions` lists without building any of it.
 """
 from __future__ import annotations
 
@@ -146,6 +147,65 @@ def enumerate_partitions(
 
     rec(0)
     return out
+
+
+class _LimitPassed(Exception):
+    """Raised inside count_partitions once the count passes its limit."""
+
+
+def count_partitions(
+    g: Graph, min_parts: int, max_parts: int, limit: int | None = None
+) -> int:
+    """The number of independent-set partitions of g with part count in
+    the bounds.
+
+    The restricted growth of enumerate_partitions on block masks alone: no
+    partition is built, and the last vertex adds its number of placements
+    at once.  With a limit the count stops as soon as it passes the limit,
+    so the result is above the limit exactly when the true count is.
+    """
+    n = g.n
+    if n == 0:
+        return 1 if min_parts <= 0 else 0
+    if min_parts > max_parts or max_parts < 1:
+        return 0
+    adj = g.adj
+    last = n - 1
+    masks = [0] * n
+    count = 0
+    stop = -1 if limit is None else limit
+
+    def place(v: int, used: int) -> None:
+        nonlocal count
+        if used + n - v < min_parts:
+            return
+        row = adj[v]
+        if v == last:
+            if used >= min_parts:
+                for i in range(used):
+                    if not masks[i] & row:
+                        count += 1
+            if used < max_parts:
+                count += 1
+            if count > stop >= 0:
+                raise _LimitPassed
+            return
+        bit = 1 << v
+        for i in range(used):
+            if not masks[i] & row:
+                masks[i] |= bit
+                place(v + 1, used)
+                masks[i] ^= bit
+        if used < max_parts:
+            masks[used] = bit
+            place(v + 1, used + 1)
+            masks[used] = 0
+
+    try:
+        place(0, 0)
+    except _LimitPassed:
+        pass
+    return count
 
 
 def are_adjacent(p: SetPartition, q: SetPartition) -> bool:

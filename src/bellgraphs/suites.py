@@ -692,7 +692,7 @@ def _suite_upper_auto(n_max: int, seeds: int) -> list[SuiteItem]:
 def _lower_fixed_hosts(n_max: int) -> list[tuple[str, Graph, list[int]]]:
     cases: list[tuple[str, Graph, list[int]]] = []
     for n in range(4, min(n_max, 10) + 1):
-        cases.append((f"empty_{n}", empty_graph(n), [2, 3]))
+        cases.append((f"empty_{n}", empty_graph(n), list(range(2, n + 2))))
     if n_max >= 13:
         cases.append(("matching_13_6", matching_graph(13, 6), [3]))
     return cases

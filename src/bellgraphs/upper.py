@@ -27,7 +27,7 @@ from .graphs import (
     normalize_ddagger,
     path_graph,
 )
-from .lineroot import NotLineGraph, krausz_root
+from .lineroot import krausz_root
 
 REGIME_EMPTY = "empty"
 REGIME_SINGLE_VERTEX = "single_vertex"
@@ -35,8 +35,6 @@ REGIME_CLIQUE = "degenerate_clique"
 REGIME_K5_MINUS = "degenerate_k5minus"
 REGIME_LOW = "k_le_n_minus_2"
 REGIME_N_MINUS_1 = "k_eq_n_minus_1"
-
-FALLBACK_GRAPH = complete_graph(1)
 
 
 class EmptyInput(ValueError):
@@ -70,16 +68,13 @@ def phi(b: UnlabeledGraph, p: int) -> Graph:
     Invert the open neighbourhood as a line graph, normalize the root,
     then turn claw components back into triangles for each neighbourhood
     triangle that closes through a vertex outside the closed
-    neighbourhood, and complement.  Non-line-graph neighbourhoods map to a
-    fixed fallback graph (never consumed at genuine pivots).
+    neighbourhood, and complement.  Raises NotLineGraph when the open
+    neighbourhood is not a line graph, which never happens at a genuine
+    pivot of a Bell-type graph.
     """
     nb = sorted(b.adj[p])
     sub = induced_graph(b, nb)
-    try:
-        root = krausz_root(sub)
-    except NotLineGraph:
-        return FALLBACK_GRAPH
-    normalized = normalize_ddagger(root)
+    normalized = normalize_ddagger(krausz_root(sub))
     t_root = count_triangles(normalized)
     t_p = neighbourhood_stats(b, p).t_stat
     missing = t_p - t_root

@@ -82,9 +82,13 @@ class TestReconstruct:
             capsys, "reconstruct", "--mode", "lower", "--input", u.to_graph6()
         )
         assert code == 0
-        assert payload["regime"] == "k_eq_chi_plus_1"
+        assert payload["rule"] == "k_eq_chi_plus_1"
+        assert payload["bound"] == 2
         assert is_isomorphic(from_graph6(payload["result_graph6"]), host)
-        assert payload["candidate_edge_counts"]
+        accepted = payload["tried"][-1]
+        assert accepted["passed"] is True
+        assert (accepted["pivot"], accepted["rule"]) == (payload["pivot"], payload["rule"])
+        assert "candidate_edge_counts" not in payload and "candidate_count" not in payload
 
 
 class TestClassify:

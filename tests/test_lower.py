@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellgraphs.bell import FULL, UnlabeledGraph, at_most, build_bell, scramble
 from bellgraphs.graphs import (
@@ -17,6 +19,7 @@ from bellgraphs.graphs import (
 from bellgraphs.lower import (
     REGIME_K_EQ_CHI_PLUS_1,
     REGIME_K_GT_CHI_PLUS_1,
+    NoCertifiedCandidate,
     PreconditionViolated,
     _all_common_inside,
     _double_closed,
@@ -27,6 +30,7 @@ from bellgraphs.lower import (
     is_double_closed,
     neighborhood_components,
     reconstruct_from_bk,
+    reconstruct_from_bk_report,
     reconstruction_candidates,
     verify_fat_partition,
 )
@@ -78,6 +82,13 @@ def _pairwise_regime(u, cands):
                 return REGIME_K_GT_CHI_PLUS_1
     return REGIME_K_EQ_CHI_PLUS_1
 
+
+# (host, k) pairs the walk must answer with the host: every bound above the
+# chromatic number, up to the full Bell graph
+RECONSTRUCT_GRID = (
+    [(empty_graph(n), k) for n in range(4, 9) for k in range(2, n + 2)]
+    + [(matching_graph(8, e), k) for e in (1, 2) for k in range(3, 10)]
+)
 
 # Bell graphs on which each stage is compared with its pairwise reference
 REFERENCE_CASES = (
@@ -138,7 +149,7 @@ class TestCandidates:
 
     def test_components_sorted_and_ordered_by_minimum(self):
         # the candidate graph's vertex numbering follows this order, and with
-        # it the adjacency-key tie-break that picks the pivot and the result
+        # it the labelling of the result
         for host, k in [(path_graph(4), 3), (empty_graph(6), 3), (matching_graph(8, 1), 3)]:
             u = scramble(build_bell(host, at_most(k)), 0)
             for p in range(u.m):
@@ -276,6 +287,42 @@ class TestReconstruct:
                 b = build_bell(empty_graph(n), at_most(k))
                 got = reconstruct_from_bk(scramble(b, 0))
                 assert is_isomorphic(got, empty_graph(n))
+
+    @pytest.mark.parametrize(
+        "host,k", RECONSTRUCT_GRID,
+        ids=[f"n{host.n}-e{host.edge_count()}-k{k}" for host, k in RECONSTRUCT_GRID],
+    )
+    def test_grid(self, host, k):
+        got = reconstruct_from_bk(scramble(build_bell(host, at_most(k)), 5))
+        assert is_isomorphic(got, host)
+
+    @given(st.integers(4, 8), st.integers(2, 10), st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_edgeless_property(self, n, k, seed):
+        host = empty_graph(n)
+        assert is_isomorphic(reconstruct_from_bk(scramble(build_bell(host, at_most(k)), seed)), host)
+
+    def test_report(self):
+        u = scramble(build_bell(empty_graph(6), at_most(4)), 2)
+        report = reconstruct_from_bk_report(u)
+        _, cands = reconstruction_candidates(u)
+        assert report.bound == 4 and report.component_count == 6
+        assert report.rule == REGIME_K_EQ_CHI_PLUS_1  # not the regime, which is k > chi + 1
+        assert [a.passed for a in report.tried] == [False] * (len(report.tried) - 1) + [True]
+        assert (report.tried[-1].pivot, report.tried[-1].rule) == (report.pivot, report.rule)
+        assert report.pivot in cands and report.result.edge_count() == 0
+
+    def test_outside_hypothesis_raises(self):
+        # one edge on 4 vertices at k = 3: no candidate's partition count is m
+        u = scramble(build_bell(matching_graph(4, 1), at_most(3)), 0)
+        _, cands = reconstruction_candidates(u)
+        with pytest.raises(NoCertifiedCandidate) as info:
+            reconstruct_from_bk(u)
+        tried = info.value.tried
+        assert [(a.pivot, a.rule) for a in tried] == [
+            (p, rule) for p in cands for rule in (REGIME_K_EQ_CHI_PLUS_1, REGIME_K_GT_CHI_PLUS_1)
+        ]
+        assert not any(a.passed for a in tried)
 
     def test_matching_host(self):
         host = matching_graph(13, 2)

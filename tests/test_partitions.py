@@ -13,6 +13,7 @@ from bellgraphs.partitions import (
     PartitionCapExceeded,
     SetPartition,
     are_adjacent,
+    count_partitions,
     enumerate_partitions,
     is_independent_partition,
     make_partition,
@@ -109,6 +110,24 @@ class TestEnumerate:
         parts = enumerate_partitions(g, 1, g.n)
         assert len(set(parts)) == len(parts)
         assert all(is_independent_partition(g, p) for p in parts)
+
+
+class TestCount:
+    def test_matches_enumeration(self):
+        for n in range(7):
+            for g in generate_nonisomorphic_graphs(n):
+                for lo in range(n + 2):
+                    for hi in range(n + 2):
+                        want = len(enumerate_partitions(g, lo, hi))
+                        assert count_partitions(g, lo, hi) == want, (g, lo, hi)
+                        for limit in {0, max(want - 1, 0), want, want + 1}:
+                            got = count_partitions(g, lo, hi, limit)
+                            assert got == want if want <= limit else got > limit
+
+    def test_limit_stops_early(self):
+        # 27,644,437 partitions in all; the count stops within one last vertex
+        got = count_partitions(empty_graph(13), 1, 13, 10)
+        assert 10 < got <= 10 + 13
 
 
 class TestAdjacency:

@@ -14,6 +14,7 @@ from bellgraphs.graphs import (
     strip_universal,
     to_graph6,
 )
+from bellgraphs.lineroot import NotLineGraph
 from bellgraphs.partitions import singleton_partition
 from bellgraphs.upper import (
     REGIME_CLIQUE,
@@ -46,12 +47,13 @@ class TestPhi:
         p = b.index_of(singleton_partition(3))
         assert is_isomorphic(phi(u, p), empty_graph(3))
 
-    def test_claw_neighbourhood_falls_back(self):
+    def test_claw_neighbourhood_raises(self):
         # p is vertex 0, its neighbourhood induces a claw (not a line graph)
         u = UnlabeledGraph.from_edges(
             5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
         )
-        assert phi(u, 0) == complete_graph(1)
+        with pytest.raises(NotLineGraph):
+            phi(u, 0)
 
 
 class TestReconstructPrime:
