@@ -118,6 +118,10 @@ def build_bell(g: Graph, variant: BellVariant, cap: int = 500_000) -> BellGraph:
     return BellGraph(g, variant, tuple(parts), rows)
 
 
+class EmptyInput(ValueError):
+    """The unlabeled graph has no vertices."""
+
+
 class UnlabeledGraph:
     """Adjacency structure only; the reconstruction algorithms' input."""
 

@@ -6,13 +6,22 @@ neighbourhood structure matches it well enough to drive reconstruction:
 two structural properties, then successive argmax filters on degree, on
 vertex-plus-edge count of the open neighbourhood, and on the number of
 neighbourhood triangles closed by an outside vertex.
+
+Every test is a few frozenset operations on the adjacency rows.  A vertex
+p is a common neighbour of every pair in N(p) and lies outside N(p), so
+the outside common neighbours of a set of neighbours of p are the
+intersection of their rows minus N(p), less p itself.  The neighbourhood
+triangles closed from outside are enumerated once per ladder vertex, by
+``closed_triangles`` inside ``neighbourhood_stats``; property 2 reads
+them from the stats rather than enumerating its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
 
 from .bell import BellGraph, UnlabeledGraph
+
+Triangle = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -20,6 +29,8 @@ class NeighbourhoodStats:
     degree: int
     n_stat: int  # vertices plus edges of the open neighbourhood
     t_stat: int  # neighbourhood triangles with a common neighbour outside
+    # those triangles, each as an increasing triple
+    triangles: tuple[Triangle, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -27,14 +38,8 @@ class CandidateSets:
     omega3: tuple[int, ...]
     omega4: tuple[int, ...]
     omega5: tuple[int, ...]
-
-
-def _nonadjacent_pairs(b: UnlabeledGraph, nb: list[int]) -> Iterator[tuple[int, int]]:
-    for i, q1 in enumerate(nb):
-        a1 = b.adj[q1]
-        for q2 in nb[i + 1 :]:
-            if q2 not in a1:
-                yield q1, q2
+    # neighbourhood stats of every omega3 vertex
+    stats: dict[int, NeighbourhoodStats] = field(default_factory=dict, compare=False, repr=False)
 
 
 def satisfies_property1(b: UnlabeledGraph, p: int, *, require_external: bool = True) -> bool:
@@ -44,76 +49,66 @@ def satisfies_property1(b: UnlabeledGraph, p: int, *, require_external: bool = T
     With ``require_external=False`` a pair with no outside common neighbour
     is allowed (at-most-one reading); the default demands exactly one.
     """
-    nb = sorted(b.adj[p])
-    nset = b.adj[p]
-    closed = set(nset)
-    closed.add(p)
-    for q1, q2 in _nonadjacent_pairs(b, nb):
-        a2 = b.adj[q2]
-        external = [r for r in b.adj[q1] if r in a2 and r not in closed]
-        if len(external) > 1:
-            return False
-        if not external:
-            if require_external:
-                return False
-            continue
-        r = external[0]
-        if len(b.adj[r] & nset) != 2:
-            return False
+    adj = b.adj
+    nset = adj[p]
+    rest = set(nset)
+    for q1 in nset:
+        rest.discard(q1)
+        a1 = adj[q1]
+        for q2 in rest - a1:
+            # outside common neighbours of the pair, plus p itself
+            external = (a1 & adj[q2]) - nset
+            if len(external) != 2:
+                if len(external) > 2 or require_external:
+                    return False
+                continue
+            for r in external:
+                if r != p and len(adj[r] & nset) != 2:
+                    return False
     return True
 
 
-def _triangles(b: UnlabeledGraph, nb: list[int]) -> Iterator[tuple[int, int, int]]:
-    for i, q1 in enumerate(nb):
-        a1 = b.adj[q1]
-        for j in range(i + 1, len(nb)):
-            q2 = nb[j]
-            if q2 not in a1:
-                continue
-            a2 = b.adj[q2]
-            for q3 in nb[j + 1 :]:
-                if q3 in a1 and q3 in a2:
-                    yield q1, q2, q3
-
-
-def _external_common(b: UnlabeledGraph, closed: set[int], qs: tuple[int, ...]) -> list[int]:
-    first, *rest = qs
+def closed_triangles(b: UnlabeledGraph, p: int) -> tuple[Triangle, ...]:
+    """Triangles of N(p) whose corners have a common neighbour outside N[p]."""
+    adj = b.adj
+    nset = adj[p]
     out = []
-    for r in b.adj[first]:
-        if r in closed:
-            continue
-        if all(r in b.adj[q] for q in rest):
-            out.append(r)
-    return out
-
-
-def satisfies_property2(b: UnlabeledGraph, p: int) -> bool:
-    """For every neighbourhood triangle closed by an outside vertex, every
-    other neighbour of p touches exactly zero or two of its corners."""
-    nb = sorted(b.adj[p])
-    closed = set(b.adj[p])
-    closed.add(p)
-    for tri in _triangles(b, nb):
-        if not _external_common(b, closed, tri):
-            continue
-        tset = set(tri)
-        for q in nb:
-            if q in tset:
+    for q1 in nset:
+        a1 = adj[q1]
+        for q2 in a1 & nset:
+            if q2 < q1:
                 continue
-            touches = sum(1 for t in tri if t in b.adj[q])
-            if touches not in (0, 2):
-                return False
-    return True
+            c12 = a1 & adj[q2]
+            for q3 in c12 & nset:
+                # c12 & adj[q3] - N(p) always holds p
+                if q3 > q2 and len((c12 & adj[q3]) - nset) > 1:
+                    out.append((q1, q2, q3))
+    return tuple(out)
+
+
+def satisfies_property2(
+    b: UnlabeledGraph, p: int, triangles: tuple[Triangle, ...] | None = None
+) -> bool:
+    """For every neighbourhood triangle closed by an outside vertex, every
+    other neighbour of p touches exactly zero or two of its corners.
+
+    ``triangles`` is ``closed_triangles(b, p)`` when the caller has it.  A
+    corner touches the other two, so the condition says no neighbour of p
+    lies in an odd number of the corners' rows.
+    """
+    if triangles is None:
+        triangles = closed_triangles(b, p)
+    adj = b.adj
+    nset = adj[p]
+    return all(nset.isdisjoint(adj[t1] ^ adj[t2] ^ adj[t3]) for t1, t2, t3 in triangles)
 
 
 def neighbourhood_stats(b: UnlabeledGraph, p: int) -> NeighbourhoodStats:
-    nb = sorted(b.adj[p])
-    nset = b.adj[p]
-    closed = set(nset)
-    closed.add(p)
-    inner = sum(len(b.adj[q] & nset) for q in nb) // 2
-    t_stat = sum(1 for tri in _triangles(b, nb) if _external_common(b, closed, tri))
-    return NeighbourhoodStats(len(nb), len(nb) + inner, t_stat)
+    adj = b.adj
+    nset = adj[p]
+    inner = sum(len(adj[q] & nset) for q in nset) // 2
+    triangles = closed_triangles(b, p)
+    return NeighbourhoodStats(len(nset), len(nset) + inner, len(triangles), triangles)
 
 
 def pstar_candidates(b: UnlabeledGraph, *, require_external: bool = True) -> CandidateSets:
@@ -122,28 +117,37 @@ def pstar_candidates(b: UnlabeledGraph, *, require_external: bool = True) -> Can
     by n_stat and t_stat.  Ties are kept.
 
     Vertices are scanned in decreasing degree order, so properties are only
-    ever evaluated down to the first passing degree class.
+    ever evaluated down to the first passing degree class.  The stats of a
+    property-1 passer are computed once and serve both property 2 and the
+    argmax filters.
     """
     if b.m == 0:
         raise ValueError("empty graph has no candidates")
-    order = sorted(range(b.m), key=lambda v: (-len(b.adj[v]), v))
-    omega3: list[int] = []
+    degs = [len(a) for a in b.adj]
+    # a stable sort keeps equal degrees in increasing vertex order
+    order = sorted(range(b.m), key=degs.__getitem__, reverse=True)
+    stats: dict[int, NeighbourhoodStats] = {}
     best_degree = -1
     for v in order:
-        d = len(b.adj[v])
-        if omega3 and d < best_degree:
+        d = degs[v]
+        if stats and d < best_degree:
             break
-        if satisfies_property1(b, v, require_external=require_external) and satisfies_property2(b, v):
-            omega3.append(v)
+        if not satisfies_property1(b, v, require_external=require_external):
+            continue
+        st = neighbourhood_stats(b, v)
+        if satisfies_property2(b, v, st.triangles):
+            stats[v] = st
             best_degree = d
-    if not omega3:
+    if not stats:
         return CandidateSets((), (), ())
-    stats = {v: neighbourhood_stats(b, v) for v in omega3}
+    omega3 = list(stats)
     best_n = max(stats[v].n_stat for v in omega3)
     omega4 = [v for v in omega3 if stats[v].n_stat == best_n]
     best_t = max(stats[v].t_stat for v in omega4)
     omega5 = [v for v in omega4 if stats[v].t_stat == best_t]
-    return CandidateSets(tuple(sorted(omega3)), tuple(sorted(omega4)), tuple(sorted(omega5)))
+    return CandidateSets(
+        tuple(sorted(omega3)), tuple(sorted(omega4)), tuple(sorted(omega5)), stats
+    )
 
 
 # Neighbour types for the labeled map onto non-edges of the host.

@@ -15,6 +15,8 @@ import sys
 from . import lower, upper
 from .bell import (
     FULL,
+    EmptyInput,
+    UnlabeledGraph,
     at_least,
     at_most,
     bell_to_json,
@@ -24,7 +26,8 @@ from .bell import (
 )
 from .classify import classify_pair, oracle_isomorphic
 from .graphs import from_graph6, to_graph6
-from .lower import reconstruct_from_bk_report
+from .lineroot import NotLineGraph
+from .lower import Attempt, NoCertifiedCandidate, reconstruct_from_bk_report
 from .suites import SUITE_NAMES, conjecture_search, run_suite
 
 
@@ -71,31 +74,36 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    u = unlabeled_from_graph6(_read_graph_text(args.input))
-    if args.mode == "full":
-        report = upper.reconstruct_prime_report(u)
-    elif args.mode == "upper-auto":
-        report = upper.reconstruct_upper_auto(u)
-    else:
+# What a reconstruction raises on input outside its hypotheses; reported as
+# a JSON error payload with a non-zero exit rather than a traceback.
+RECONSTRUCTION_ERRORS = (EmptyInput, upper.NoCandidate, NotLineGraph, NoCertifiedCandidate)
+
+
+def _tried_json(tried: tuple[Attempt, ...]) -> list[dict]:
+    return [
+        {"pivot": a.pivot, "rule": a.rule, "edge_count": a.edge_count, "passed": a.passed}
+        for a in tried
+    ]
+
+
+def _reconstruct_payload(mode: str, u: UnlabeledGraph) -> dict:
+    if mode == "lower":
         info = reconstruct_from_bk_report(u)
-        payload = {
+        return {
             "mode": "lower",
             "rule": info.rule,
             "component_count": info.component_count,
             "pivot": info.pivot,
             "bound": info.bound,
-            "tried": [
-                {"pivot": a.pivot, "rule": a.rule, "edge_count": a.edge_count,
-                 "passed": a.passed}
-                for a in info.tried
-            ],
+            "tried": _tried_json(info.tried),
             "result_graph6": to_graph6(info.result),
         }
-        _emit(payload, args.out)
-        return 0
+    if mode == "full":
+        report = upper.reconstruct_prime_report(u)
+    else:
+        report = upper.reconstruct_upper_auto(u)
     payload = {
-        "mode": args.mode,
+        "mode": mode,
         "regime": report.regime,
         "pivot": report.pivot,
         "result_graph6": to_graph6(report.result) if report.result is not None else None,
@@ -110,6 +118,20 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
             "omega4": list(report.candidate_sets.omega4),
             "omega5": list(report.candidate_sets.omega5),
         }
+    return payload
+
+
+def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    u = unlabeled_from_graph6(_read_graph_text(args.input))
+    try:
+        payload = _reconstruct_payload(args.mode, u)
+    except RECONSTRUCTION_ERRORS as exc:
+        payload = {"mode": args.mode, "error": type(exc).__name__, "message": str(exc)}
+        if args.mode == "lower":
+            tried = exc.tried if isinstance(exc, NoCertifiedCandidate) else ()
+            payload["tried"] = _tried_json(tried)
+        _emit(payload, args.out)
+        return 1
     _emit(payload, args.out)
     return 0
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bell import UnlabeledGraph
+from .bell import EmptyInput, UnlabeledGraph
 from .graphs import Graph, chromatic_number, optimal_colouring
 from .partitions import SetPartition, count_partitions
 
@@ -209,7 +209,7 @@ def neighborhood_components(b: UnlabeledGraph, p: int) -> list[list[int]]:
 def reconstruction_candidates(b: UnlabeledGraph) -> tuple[int, list[int]]:
     """Maximal component count of an open neighbourhood, and its argmax set."""
     if b.m == 0:
-        raise ValueError("empty graph")
+        raise EmptyInput("no vertices")
     best = -1
     arg: list[int] = []
     for p in range(b.m):

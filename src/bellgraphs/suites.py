@@ -521,17 +521,21 @@ def _check_omega_case(
     items.append(_item(f"neighbourhood-line-graph-{tag}", host, lg_ok, variant=vlabel,
                        detail=lg_detail))
 
-    # distance-2 closure of neighbourhood triangles
+    # distance-2 closure of neighbourhood triangles, enumerated pair by pair
+    # here rather than by the candidates kernel under test
     tri_ok = True
     tri_detail: dict | None = None
     for i in ladder.omega4:
         nb = sorted(u.adj[i])
-        closed = set(u.adj[i])
-        closed.add(i)
         imgs = _psi_images(b, i)
-        for tri in cand._triangles(u, nb):
+        for tri in itertools.combinations(nb, 3):
+            if not all(u.has_edge(q, r) for q, r in itertools.combinations(tri, 2)):
+                continue
             shape = _triple_shape([imgs[q][0] for q in tri])
-            external = cand._external_common(u, closed, tri)
+            external = any(
+                r != i and not u.has_edge(r, i) and all(u.has_edge(r, q) for q in tri)
+                for r in range(u.m)
+            )
             if shape == "claw" and external:
                 tri_ok = False
                 tri_detail = {"vertex": i, "triangle": list(tri), "reason": "claw-closed"}

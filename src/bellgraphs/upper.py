@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bell import UnlabeledGraph, induced_graph
+from .bell import EmptyInput, UnlabeledGraph, induced_graph
 from .candidates import CandidateSets, neighbourhood_stats, pstar_candidates
 from .graphs import (
     Graph,
@@ -37,10 +37,6 @@ REGIME_LOW = "k_le_n_minus_2"
 REGIME_N_MINUS_1 = "k_eq_n_minus_1"
 
 
-class EmptyInput(ValueError):
-    """The unlabeled graph has no vertices."""
-
-
 class NoCandidate(RuntimeError):
     """The omega ladder is empty: the caller's promise was violated."""
 
@@ -62,22 +58,23 @@ class ReconstructionReport:
     candidate_sets: CandidateSets | None = None
 
 
-def phi(b: UnlabeledGraph, p: int) -> Graph:
+def phi(b: UnlabeledGraph, p: int, t_stat: int | None = None) -> Graph:
     """Graph read off the local structure at p.
 
     Invert the open neighbourhood as a line graph, normalize the root,
     then turn claw components back into triangles for each neighbourhood
     triangle that closes through a vertex outside the closed
-    neighbourhood, and complement.  Raises NotLineGraph when the open
+    neighbourhood, and complement.  ``t_stat`` is p's count of such
+    triangles when the caller has it.  Raises NotLineGraph when the open
     neighbourhood is not a line graph, which never happens at a genuine
     pivot of a Bell-type graph.
     """
     nb = sorted(b.adj[p])
     sub = induced_graph(b, nb)
     normalized = normalize_ddagger(krausz_root(sub))
-    t_root = count_triangles(normalized)
-    t_p = neighbourhood_stats(b, p).t_stat
-    missing = t_p - t_root
+    if t_stat is None:
+        t_stat = neighbourhood_stats(b, p).t_stat
+    missing = t_stat - count_triangles(normalized)
     if missing > 0:
         claws = [
             comp
@@ -114,9 +111,8 @@ def reconstruct_prime_report(b: UnlabeledGraph) -> ReconstructionReport:
     if not sets.omega5:
         raise NoCandidate("omega5 empty: input is not a Bell-type graph in range")
     pivot = min(sets.omega5)
-    return ReconstructionReport(
-        regime=REGIME_LOW, pivot=pivot, result=phi(b, pivot), candidate_sets=sets
-    )
+    result = phi(b, pivot, sets.stats[pivot].t_stat)
+    return ReconstructionReport(regime=REGIME_LOW, pivot=pivot, result=result, candidate_sets=sets)
 
 
 def reconstruct_prime(b: UnlabeledGraph) -> Graph:

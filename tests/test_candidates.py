@@ -1,22 +1,146 @@
 import pytest
 
-from bellgraphs.bell import FULL, UnlabeledGraph, at_least, build_bell, scramble_with_map
+from bellgraphs.bell import FULL, UnlabeledGraph, at_least, build_bell, scramble, scramble_with_map
 from bellgraphs.candidates import (
     TYPE_MERGE,
     TYPE_SPLIT_PAIR,
     TYPE_SPLIT_TRIPLE,
+    closed_triangles,
     neighbourhood_stats,
     pstar_candidates,
     psi_map,
     satisfies_property1,
     satisfies_property2,
 )
-from bellgraphs.graphs import complete_graph, cycle_graph, empty_graph
+from bellgraphs.graphs import (
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    generate_nonisomorphic_graphs,
+    to_graph6,
+)
 from bellgraphs.partitions import SetPartition, singleton_partition
 
 
 def pstar_index(b):
     return b.index_of(singleton_partition(b.host.n))
+
+
+# Pairwise references for the set-operation kernels: each pair or triple of
+# neighbours is tested by walking one corner's whole adjacency row.
+
+
+def ref_nonadjacent_pairs(b, nb):
+    for i, q1 in enumerate(nb):
+        for q2 in nb[i + 1 :]:
+            if q2 not in b.adj[q1]:
+                yield q1, q2
+
+
+def ref_triangles(b, nb):
+    for i, q1 in enumerate(nb):
+        for j in range(i + 1, len(nb)):
+            q2 = nb[j]
+            if q2 not in b.adj[q1]:
+                continue
+            for q3 in nb[j + 1 :]:
+                if q3 in b.adj[q1] and q3 in b.adj[q2]:
+                    yield q1, q2, q3
+
+
+def ref_external_common(b, closed, qs):
+    first, *rest = qs
+    return [r for r in b.adj[first] if r not in closed and all(r in b.adj[q] for q in rest)]
+
+
+def ref_closed(b, p):
+    closed = set(b.adj[p])
+    closed.add(p)
+    return closed
+
+
+def ref_property1(b, p, require_external):
+    nset, closed = b.adj[p], ref_closed(b, p)
+    for q1, q2 in ref_nonadjacent_pairs(b, sorted(nset)):
+        external = ref_external_common(b, closed, (q1, q2))
+        if len(external) > 1:
+            return False
+        if not external:
+            if require_external:
+                return False
+            continue
+        if len(b.adj[external[0]] & nset) != 2:
+            return False
+    return True
+
+
+def ref_closed_triangles(b, p):
+    nb, closed = sorted(b.adj[p]), ref_closed(b, p)
+    return [tri for tri in ref_triangles(b, nb) if ref_external_common(b, closed, tri)]
+
+
+def ref_property2(b, p):
+    nb = sorted(b.adj[p])
+    for tri in ref_closed_triangles(b, p):
+        for q in nb:
+            if q not in tri and sum(1 for t in tri if t in b.adj[q]) not in (0, 2):
+                return False
+    return True
+
+
+def ref_stats(b, p):
+    nb = sorted(b.adj[p])
+    inner = sum(len(b.adj[q] & b.adj[p]) for q in nb) // 2
+    return len(nb), len(nb) + inner, len(ref_closed_triangles(b, p))
+
+
+def small_bell_inputs():
+    """Two scrambles of the full and every at-least-k Bell graph of every
+    host on at most 5 vertices."""
+    for n in range(6):
+        for g in generate_nonisomorphic_graphs(n):
+            for variant in [FULL, *(at_least(k) for k in range(2, n + 2))]:
+                b = build_bell(g, variant)
+                for seed in (0, 1):
+                    yield f"{to_graph6(g)} {variant.label()} {seed}", scramble(b, seed)
+
+
+class TestKernelsAgainstReference:
+    def test_every_vertex_of_small_inputs(self):
+        checked = 0
+        for label, u in small_bell_inputs():
+            for p in range(u.m):
+                for require_external in (True, False):
+                    assert satisfies_property1(u, p, require_external=require_external) == (
+                        ref_property1(u, p, require_external)
+                    ), (label, p, require_external)
+                triangles = ref_closed_triangles(u, p)
+                assert sorted(closed_triangles(u, p)) == triangles, (label, p)
+                assert satisfies_property2(u, p) == ref_property2(u, p), (label, p)
+                st = neighbourhood_stats(u, p)
+                assert (st.degree, st.n_stat, st.t_stat) == ref_stats(u, p), (label, p)
+                assert len(st.triangles) == st.t_stat
+                assert satisfies_property2(u, p, st.triangles) == ref_property2(u, p)
+                checked += 1
+        assert checked == 3466
+
+    def test_ladder_matches_reference_scan(self):
+        for label, u in small_bell_inputs():
+            if u.m == 0:
+                continue
+            for require_external in (True, False):
+                order = sorted(range(u.m), key=lambda v: (-len(u.adj[v]), v))
+                omega3 = []
+                for v in order:
+                    if omega3 and len(u.adj[v]) < len(u.adj[omega3[0]]):
+                        break
+                    if ref_property1(u, v, require_external) and ref_property2(u, v):
+                        omega3.append(v)
+                sets = pstar_candidates(u, require_external=require_external)
+                assert sets.omega3 == tuple(sorted(omega3)), (label, require_external)
+                assert set(sets.stats) == set(omega3)
+                for v in omega3:
+                    assert sets.stats[v] == neighbourhood_stats(u, v)
 
 
 class TestProperties:

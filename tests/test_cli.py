@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from bellgraphs.bell import FULL, build_bell, scramble
+from bellgraphs import upper
+from bellgraphs.bell import FULL, at_most, build_bell, scramble
 from bellgraphs.cli import main
 from bellgraphs.graphs import (
     cycle_graph,
@@ -12,6 +13,7 @@ from bellgraphs.graphs import (
     matching_graph,
     to_graph6,
 )
+from bellgraphs.lineroot import NotLineGraph
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +91,43 @@ class TestReconstruct:
         assert accepted["passed"] is True
         assert (accepted["pivot"], accepted["rule"]) == (payload["pivot"], payload["rule"])
         assert "candidate_edge_counts" not in payload and "candidate_count" not in payload
+
+
+class TestReconstructErrors:
+    def test_lower_no_certified_candidate(self, capsys):
+        u = build_bell(matching_graph(4, 1), at_most(3)).as_unlabeled()
+        code, payload = run_cli(
+            capsys, "reconstruct", "--mode", "lower", "--input", u.to_graph6()
+        )
+        assert code != 0
+        assert payload["error"] == "NoCertifiedCandidate"
+        assert payload["tried"] and not any(a["passed"] for a in payload["tried"])
+
+    def test_empty_input(self, capsys):
+        for mode, extra in (("full", {}), ("lower", {"tried": []})):
+            code, payload = run_cli(capsys, "reconstruct", "--mode", mode, "--input", "?")
+            assert code != 0
+            assert payload == {"mode": mode, "error": "EmptyInput", "message": "no vertices",
+                               **extra}
+
+    def test_no_candidate(self, capsys):
+        code, payload = run_cli(
+            capsys, "reconstruct", "--mode", "full", "--input", to_graph6(empty_graph(2))
+        )
+        assert code != 0
+        assert payload["error"] == "NoCandidate"
+
+    def test_not_line_graph(self, capsys, monkeypatch):
+        def reject(graph):
+            raise NotLineGraph("rejected")
+
+        monkeypatch.setattr(upper, "krausz_root", reject)
+        u = scramble(build_bell(cycle_graph(5), FULL), 0)
+        code, payload = run_cli(
+            capsys, "reconstruct", "--mode", "upper-auto", "--input", u.to_graph6()
+        )
+        assert code != 0
+        assert payload == {"mode": "upper-auto", "error": "NotLineGraph", "message": "rejected"}
 
 
 class TestClassify:

@@ -1,5 +1,9 @@
+import hashlib
+from collections import Counter
+
 import pytest
 
+from bellgraphs import candidates, upper
 from bellgraphs.bell import FULL, UnlabeledGraph, at_least, build_bell, scramble
 from bellgraphs.graphs import (
     claw_closure,
@@ -31,6 +35,85 @@ from bellgraphs.upper import (
     reconstruct_prime_report,
     reconstruct_upper_auto,
 )
+
+
+def pinned_reports():
+    """Lines the upper digest below pins: for every host on at most 5
+    vertices, its full and at-least-k Bell graphs for k = 2..n, each under
+    two seeded scrambles, the report's regime, pivot, result, possibilities
+    and omega ladder."""
+    for n in range(6):
+        for g in generate_nonisomorphic_graphs(n):
+            for variant in [FULL, *(at_least(k) for k in range(2, n + 1))]:
+                b = build_bell(g, variant)
+                for seed in (0, 1):
+                    r = reconstruct_upper_auto(scramble(b, seed))
+                    result = to_graph6(r.result) if r.result is not None else "-"
+                    options = ",".join(
+                        f"{to_graph6(p.graph)}:{p.k_condition}" for p in r.possibilities
+                    )
+                    sets = r.candidate_sets
+                    ladder = (
+                        "-" if sets is None
+                        else "/".join(",".join(map(str, o)) for o in
+                                      (sets.omega3, sets.omega4, sets.omega5))
+                    )
+                    yield (f"{to_graph6(g)} {variant.label()} {seed} {r.regime} "
+                           f"{r.pivot} {result} [{options}] {ladder}\n")
+
+
+class TestPinned:
+    PINNED_DIGEST = "4e962bcb6779efd88048343a6b19610d033b36ddc15dbd491e81f4cb0c738f41"
+
+    def test_reports_are_pinned(self):
+        lines = list(pinned_reports())
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == self.PINNED_DIGEST
+
+
+def count_calls(monkeypatch, *targets):
+    """Wrap each (module, attr) at its module attribute, as the benchmark's
+    tracer does, and count the calls made through it."""
+    calls = Counter()
+
+    def wrap(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, attr in targets:
+        key = f"{module.__name__}.{attr}"
+        monkeypatch.setattr(module, attr, wrap(key, getattr(module, attr)))
+    return calls
+
+
+class TestStatsComputedOnce:
+    TARGETS = (
+        (candidates, "neighbourhood_stats"),
+        (candidates, "satisfies_property2"),
+        (upper, "neighbourhood_stats"),
+    )
+
+    def test_once_per_omega3_vertex_and_not_in_phi(self, monkeypatch):
+        calls = count_calls(monkeypatch, *self.TARGETS)
+        cases = [(cycle_graph(5), FULL), (star_graph(3), FULL), (empty_graph(5), at_least(2)),
+                 (cycle_graph(6), at_least(3))]
+        for host, variant in cases:
+            for seed in (0, 1):
+                calls.clear()
+                r = reconstruct_prime_report(scramble(build_bell(host, variant), seed))
+                assert r.regime == REGIME_LOW
+                assert calls["bellgraphs.candidates.neighbourhood_stats"] == len(
+                    r.candidate_sets.omega3)
+                assert calls["bellgraphs.candidates.satisfies_property2"] == len(
+                    r.candidate_sets.omega3)
+                assert calls["bellgraphs.upper.neighbourhood_stats"] == 0
+
+    def test_universal_pivot_computes_its_own(self, monkeypatch):
+        calls = count_calls(monkeypatch, *self.TARGETS)
+        r = reconstruct_upper_auto(scramble(build_bell(cycle_graph(5), at_least(4)), 0))
+        assert r.regime == REGIME_N_MINUS_1
+        assert calls == {"bellgraphs.upper.neighbourhood_stats": 1}
 
 
 class TestPhi:
