@@ -163,10 +163,12 @@ class UnlabeledGraph:
         return tuple(sorted(len(s) for s in self.adj))
 
     def universal_vertices(self) -> list[int]:
-        return [v for v in range(self.m) if len(self.adj[v]) == self.m - 1]
+        full = len(self.adj) - 1
+        return [v for v, row in enumerate(self.adj) if len(row) == full]
 
     def is_clique(self) -> bool:
-        return self.edge_count() == self.m * (self.m - 1) // 2
+        full = len(self.adj) - 1
+        return all(len(row) == full for row in self.adj)
 
     def canonical_code(self) -> bytes:
         return canonical_code_of_sets(self.m, self.adj)

@@ -14,12 +14,24 @@ intersection of their rows minus N(p), less p itself.  The neighbourhood
 triangles closed from outside are enumerated once per ladder vertex, by
 ``closed_triangles`` inside ``neighbourhood_stats``; property 2 reads
 them from the stats rather than enumerating its own.
+
+Degree lemma.  If p satisfies strict property 1 (``require_external=True``),
+then every neighbour q of p has deg(q) >= deg(p).  Proof: let d = deg(p).
+Besides p, q has |adj[q] & N(p)| neighbours inside N(p).  Each of the
+d - 1 - |adj[q] & N(p)| neighbours q' of p not adjacent to q forms a
+non-adjacent pair (q, q'), whose one outside common neighbour r lies
+outside N[p] and is adjacent to q.  That r touches exactly two vertices of
+N(p), namely q and q', so distinct q' give distinct r.  Hence q has at
+least 1 + |adj[q] & N(p)| + (d - 1 - |adj[q] & N(p)|) = d neighbours.  The
+ladder scan uses the contrapositive to drop a vertex with a lower-degree
+neighbour before running property 1 on it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
-from .bell import BellGraph, UnlabeledGraph
+from .bell import BellGraph, EmptyInput, UnlabeledGraph
 
 Triangle = tuple[int, int, int]
 
@@ -40,6 +52,9 @@ class CandidateSets:
     omega5: tuple[int, ...]
     # neighbourhood stats of every omega3 vertex
     stats: dict[int, NeighbourhoodStats] = field(default_factory=dict, compare=False, repr=False)
+    # vertices the degree scan visited, and those of them that reached property 1
+    scanned: int = field(default=0, compare=False)
+    evaluated: int = field(default=0, compare=False)
 
 
 def satisfies_property1(b: UnlabeledGraph, p: int, *, require_external: bool = True) -> bool:
@@ -116,37 +131,59 @@ def pstar_candidates(b: UnlabeledGraph, *, require_external: bool = True) -> Can
     maximal degree; omega4 and omega5 are the successive argmax refinements
     by n_stat and t_stat.  Ties are kept.
 
-    Vertices are scanned in decreasing degree order, so properties are only
-    ever evaluated down to the first passing degree class.  The stats of a
-    property-1 passer are computed once and serve both property 2 and the
-    argmax filters.
+    Vertices are scanned one degree class at a time, in decreasing degree,
+    and the scan stops after the first class that holds a passer.  Under
+    strict property 1 a vertex whose row is not inside the set of vertices
+    of its degree or more is skipped before property 1 runs.  It has a
+    neighbour of lower degree, so by the degree lemma property 1 would
+    reject it.  Lemma: a strict property-1 vertex p has no neighbour of
+    degree below deg(p).  Proof: a neighbour q of p is adjacent to p, to
+    |adj[q] & N(p)| vertices of N(p), and, for each neighbour q' of p not
+    adjacent to q, to the one outside common neighbour of the pair (q, q');
+    that vertex touches only q and q' in N(p), so these are all distinct,
+    and deg(q) >= 1 + |adj[q] & N(p)| + (deg(p) - 1 - |adj[q] & N(p)|) =
+    deg(p).
+
+    The stats of a property-1 passer are computed once and serve both
+    property 2 and the argmax filters.
+
+    Raises ``EmptyInput`` on a graph with no vertices.
     """
     if b.m == 0:
-        raise ValueError("empty graph has no candidates")
-    degs = [len(a) for a in b.adj]
+        raise EmptyInput("no vertices")
+    adj = b.adj
+    degs = [len(a) for a in adj]
     # a stable sort keeps equal degrees in increasing vertex order
     order = sorted(range(b.m), key=degs.__getitem__, reverse=True)
     stats: dict[int, NeighbourhoodStats] = {}
-    best_degree = -1
-    for v in order:
-        d = degs[v]
-        if stats and d < best_degree:
+    at_least_d: set[int] = set()  # every vertex of degree >= the class's
+    scanned = evaluated = 0
+    for _, group in groupby(order, key=degs.__getitem__):
+        if stats:
             break
-        if not satisfies_property1(b, v, require_external=require_external):
-            continue
-        st = neighbourhood_stats(b, v)
-        if satisfies_property2(b, v, st.triangles):
-            stats[v] = st
-            best_degree = d
+        members = list(group)
+        at_least_d.update(members)
+        scanned += len(members)
+        for v in members:
+            # a neighbour outside at_least_d has lower degree than v
+            if require_external and not adj[v] <= at_least_d:
+                continue
+            evaluated += 1
+            if not satisfies_property1(b, v, require_external=require_external):
+                continue
+            st = neighbourhood_stats(b, v)
+            if satisfies_property2(b, v, st.triangles):
+                stats[v] = st
     if not stats:
-        return CandidateSets((), (), ())
+        return CandidateSets((), (), (), scanned=scanned, evaluated=evaluated)
     omega3 = list(stats)
     best_n = max(stats[v].n_stat for v in omega3)
     omega4 = [v for v in omega3 if stats[v].n_stat == best_n]
     best_t = max(stats[v].t_stat for v in omega4)
     omega5 = [v for v in omega4 if stats[v].t_stat == best_t]
     return CandidateSets(
-        tuple(sorted(omega3)), tuple(sorted(omega4)), tuple(sorted(omega5)), stats
+        tuple(sorted(omega3)), tuple(sorted(omega4)), tuple(sorted(omega5)), stats,
+        scanned, evaluated,
     )
 
 

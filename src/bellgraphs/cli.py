@@ -112,11 +112,14 @@ def _reconstruct_payload(mode: str, u: UnlabeledGraph) -> dict:
             for p in report.possibilities
         ],
     }
-    if report.candidate_sets is not None:
+    sets = report.candidate_sets
+    if sets is not None:
         payload["candidates"] = {
-            "omega3": list(report.candidate_sets.omega3),
-            "omega4": list(report.candidate_sets.omega4),
-            "omega5": list(report.candidate_sets.omega5),
+            "omega3": list(sets.omega3),
+            "omega4": list(sets.omega4),
+            "omega5": list(sets.omega5),
+            "scanned": sets.scanned,
+            "evaluated": sets.evaluated,
         }
     return payload
 

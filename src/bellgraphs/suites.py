@@ -432,6 +432,20 @@ def _check_omega_case(
             break
     items.append(_item("shape-lemmas", host, shape_ok, variant=vlabel, detail=shape_detail))
 
+    # degree lemma behind the ladder's skip: a vertex with strict property 1
+    # has no neighbour of lower degree; checked here without the ladder
+    deg_ok = True
+    deg_detail: dict | None = None
+    for i in range(b.m):
+        d = b.degree(i)
+        lower_nb = [j for j in range(b.m) if b.has_edge(i, j) and b.degree(j) < d]
+        if lower_nb and cand.satisfies_property1(u, i):
+            deg_ok = False
+            deg_detail = {"vertex": i, "partition": b.vertices[i].to_text(),
+                          "lower_degree_neighbour": lower_nb[0]}
+            break
+    items.append(_item("degree-bound", host, deg_ok, variant=vlabel, detail=deg_detail))
+
     if k_eff >= n:
         return
     pstar_idx = b.index_of(singleton_partition(n))

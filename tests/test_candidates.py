@@ -1,6 +1,17 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bellgraphs.bell import FULL, UnlabeledGraph, at_least, build_bell, scramble, scramble_with_map
+from bellgraphs.bell import (
+    FULL,
+    EmptyInput,
+    UnlabeledGraph,
+    at_least,
+    at_most,
+    build_bell,
+    scramble,
+    scramble_with_map,
+)
 from bellgraphs.candidates import (
     TYPE_MERGE,
     TYPE_SPLIT_PAIR,
@@ -143,6 +154,71 @@ class TestKernelsAgainstReference:
                     assert sets.stats[v] == neighbourhood_stats(u, v)
 
 
+def has_lower_degree_neighbour(u, p):
+    return any(len(u.adj[q]) < len(u.adj[p]) for q in u.adj[p])
+
+
+def small_bell_graphs_all_variants():
+    """The full, every at-most-k and every at-least-k Bell graph of every
+    host on at most 5 vertices, unscrambled."""
+    for n in range(6):
+        for g in generate_nonisomorphic_graphs(n):
+            # at-most-n and at-least-1 are the full graph again
+            variants = [FULL, *(at_most(k) for k in range(1, n)),
+                        *(at_least(k) for k in range(2, n + 1))]
+            for variant in variants:
+                yield f"{to_graph6(g)} {variant.label()}", build_bell(g, variant).as_unlabeled()
+
+
+@st.composite
+def random_graphs(draw):
+    m = draw(st.integers(0, 14))
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return UnlabeledGraph.from_edges(m, edges)
+
+
+class TestDegreeLemma:
+    """Strict property 1 at p implies that no neighbour of p has a lower
+    degree; the ladder scan skips vertices on the strength of it."""
+
+    def test_every_vertex_of_small_bell_graphs(self):
+        passed = skipped = 0
+        for label, u in small_bell_graphs_all_variants():
+            for p in range(u.m):
+                lower = has_lower_degree_neighbour(u, p)
+                if satisfies_property1(u, p):
+                    assert not lower, (label, p)
+                    passed += 1
+                skipped += lower
+        # both sides of the implication are exercised
+        assert passed > 0 and skipped > 0
+
+    @given(random_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, u):
+        for p in range(u.m):
+            if satisfies_property1(u, p):
+                assert not has_lower_degree_neighbour(u, p), p
+
+    def test_weak_property1_can_pass_with_lower_degree_neighbour(self):
+        # a path a-p-b-c: p's neighbours a and b are non-adjacent with no
+        # outside common neighbour, which only the weak reading allows
+        u = UnlabeledGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert satisfies_property1(u, 1, require_external=False)
+        assert has_lower_degree_neighbour(u, 1)
+        assert not satisfies_property1(u, 1)
+
+    def test_scan_counts(self):
+        for label, u in small_bell_inputs():
+            if u.m == 0:
+                continue
+            strict = pstar_candidates(u)
+            weak = pstar_candidates(u, require_external=False)
+            assert 0 < strict.evaluated <= strict.scanned <= u.m, label
+            assert weak.evaluated == weak.scanned, label
+
+
 class TestProperties:
     def test_pstar_passes_on_c4(self):
         b = build_bell(cycle_graph(4), FULL)
@@ -222,7 +298,7 @@ class TestLadder:
             assert sets.omega5
 
     def test_empty_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyInput):
             pstar_candidates(UnlabeledGraph.from_edges(0, []))
 
 

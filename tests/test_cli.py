@@ -63,6 +63,10 @@ class TestReconstruct:
         assert code == 0
         assert is_isomorphic(from_graph6(payload["result_graph6"]), host)
         assert payload["candidates"]["omega5"]
+        sets = upper.reconstruct_prime_report(u).candidate_sets
+        assert (payload["candidates"]["scanned"], payload["candidates"]["evaluated"]) == (
+            sets.scanned, sets.evaluated)
+        assert 0 < sets.evaluated < sets.scanned
 
     def test_upper_auto_mode(self, capsys):
         from bellgraphs.bell import at_least

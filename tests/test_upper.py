@@ -116,6 +116,27 @@ class TestStatsComputedOnce:
         assert calls == {"bellgraphs.upper.neighbourhood_stats": 1}
 
 
+class TestDegreeGate:
+    def test_property1_runs_only_without_lower_degree_neighbour(self, monkeypatch):
+        # wrapped at the module attribute, as the benchmark's tracer does
+        seen = []
+        original = candidates.satisfies_property1
+
+        def recording(b, p, **kwargs):
+            seen.append(p)
+            return original(b, p, **kwargs)
+
+        monkeypatch.setattr(candidates, "satisfies_property1", recording)
+        u = scramble(build_bell(cycle_graph(6), FULL), 3)
+        r = reconstruct_upper_auto(u)
+        assert r.regime == REGIME_LOW
+        degs = [len(row) for row in u.adj]
+        for p in seen:
+            assert min(degs[q] for q in u.adj[p]) >= degs[p], p
+        assert len(seen) == r.candidate_sets.evaluated
+        assert len(seen) < sum(d >= degs[r.pivot] for d in degs)
+
+
 class TestPhi:
     def test_at_least_2_of_empty3_gives_claw_closure(self):
         b = build_bell(empty_graph(3), at_least(2))
