@@ -4,6 +4,9 @@ Subcommands: build (emit a Bell graph as JSON/DOT), reconstruct (modes
 full | upper-auto | lower), classify, find-partition, verify, conjecture.
 Graphs are accepted as graph6 strings or as paths to files whose first
 non-blank line is one.  Exit code 0 means every requested check passed.
+Malformed graph6 text or a part bound below 1 is a usage error (exit code
+2); an input outside a command's hypotheses gets a JSON error payload and
+exit code 1.
 """
 from __future__ import annotations
 
@@ -25,9 +28,14 @@ from .bell import (
     unlabeled_from_graph6,
 )
 from .classify import classify_pair, oracle_isomorphic
-from .graphs import from_graph6, to_graph6
+from .graphs import Graph6Error, from_graph6, to_graph6
 from .lineroot import NotLineGraph
-from .lower import Attempt, NoCertifiedCandidate, reconstruct_from_bk_report
+from .lower import (
+    Attempt,
+    NoCertifiedCandidate,
+    PreconditionViolated,
+    reconstruct_from_bk_report,
+)
 from .suites import SUITE_NAMES, conjecture_search, run_suite
 
 
@@ -38,8 +46,32 @@ def _read_graph_text(arg: str) -> str:
                 line = line.strip()
                 if line:
                     return line
-        raise SystemExit(f"no graph6 line found in {arg}")
+        raise argparse.ArgumentTypeError(f"no graph6 line found in {arg}")
     return arg.strip()
+
+
+def _graph6_type(decode):
+    """An argparse type that reads a graph6 string or file with decode, so
+    malformed text ends in argparse's usage error rather than a traceback."""
+
+    def convert(arg: str):
+        try:
+            return decode(_read_graph_text(arg))
+        except Graph6Error as exc:
+            raise argparse.ArgumentTypeError(f"malformed graph6 {arg!r}: {exc}") from exc
+
+    return convert
+
+
+_graph = _graph6_type(from_graph6)
+_unlabeled = _graph6_type(unlabeled_from_graph6)
+
+
+def _part_bound(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"part bound must be at least 1, got {k}")
+    return k
 
 
 def _write(path: str | None, text: str) -> None:
@@ -63,8 +95,7 @@ def _variant_from_args(args: argparse.Namespace):
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    g = from_graph6(_read_graph_text(args.graph))
-    b = build_bell(g, _variant_from_args(args), cap=args.cap)
+    b = build_bell(args.graph, _variant_from_args(args), cap=args.cap)
     payload = bell_to_json(b)
     if args.dot:
         _write(args.dot, b.as_unlabeled().to_dot())
@@ -125,9 +156,8 @@ def _reconstruct_payload(mode: str, u: UnlabeledGraph) -> dict:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    u = unlabeled_from_graph6(_read_graph_text(args.input))
     try:
-        payload = _reconstruct_payload(args.mode, u)
+        payload = _reconstruct_payload(args.mode, args.input)
     except RECONSTRUCTION_ERRORS as exc:
         payload = {"mode": args.mode, "error": type(exc).__name__, "message": str(exc)}
         if args.mode == "lower":
@@ -140,19 +170,20 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    g1 = from_graph6(_read_graph_text(args.g1))
-    g2 = from_graph6(_read_graph_text(args.g2))
-    equivalent, conditions = classify_pair(g1, args.k1, g2, args.k2)
+    equivalent, conditions = classify_pair(args.g1, args.k1, args.g2, args.k2)
     payload = {"equivalent": equivalent, "conditions": conditions}
     if args.oracle:
-        payload["oracle"] = oracle_isomorphic(g1, args.k1, g2, args.k2)
+        payload["oracle"] = oracle_isomorphic(args.g1, args.k1, args.g2, args.k2)
     _emit(payload, args.out)
     return 0
 
 
 def _cmd_find_partition(args: argparse.Namespace) -> int:
-    g = from_graph6(_read_graph_text(args.graph))
-    p, trace = lower.fat_partition_with_trace(g)
+    try:
+        p, trace = lower.fat_partition_with_trace(args.graph)
+    except PreconditionViolated as exc:
+        _emit({"error": type(exc).__name__, "message": str(exc)}, args.out)
+        return 1
     payload = {
         "partition": p.to_text(),
         "parts": p.part_count,
@@ -188,9 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="materialize a Bell-type graph")
-    p.add_argument("--graph", required=True, help="host graph (graph6 string or file)")
+    p.add_argument("--graph", type=_graph, required=True,
+                   help="host graph (graph6 string or file)")
     p.add_argument("--variant", choices=("full", "atmost", "atleast"), default="full")
-    p.add_argument("--k", type=int, default=None, help="part bound for bounded variants")
+    p.add_argument("--k", type=_part_bound, default=None,
+                   help="part bound for bounded variants")
     p.add_argument("--cap", type=int, default=500_000)
     p.add_argument("--out", default=None, help="JSON output path (default stdout)")
     p.add_argument("--dot", default=None, help="also write DOT here")
@@ -199,21 +232,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="recover a host graph from an unlabeled input")
     p.add_argument("--mode", choices=("full", "upper-auto", "lower"), required=True)
-    p.add_argument("--input", required=True, help="unlabeled graph (graph6 string or file)")
+    p.add_argument("--input", type=_unlabeled, required=True,
+                   help="unlabeled graph (graph6 string or file)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("classify", help="decide equivalence of two (graph, k) pairs")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--g2", required=True)
-    p.add_argument("--k2", type=int, required=True)
+    p.add_argument("--g1", type=_graph, required=True)
+    p.add_argument("--k1", type=_part_bound, required=True)
+    p.add_argument("--g2", type=_graph, required=True)
+    p.add_argument("--k2", type=_part_bound, required=True)
     p.add_argument("--oracle", action="store_true", help="also run the direct oracle")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("find-partition", help="partition into chi parts of size >= 4")
-    p.add_argument("--graph", required=True)
+    p.add_argument("--graph", type=_graph, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_find_partition)
 

@@ -6,52 +6,26 @@ finds such a decomposition by plain backtracking: it covers the least
 uncovered edge with each usable clique through it, largest first, and
 undoes the choice when the rest cannot be covered.  Nothing is memoized,
 because whether a set of uncovered edges can still be covered also depends
-on how many cliques each vertex already lies in.  A root graph is rebuilt
-from the decomposition; callers that need a canonical root apply
-graphs.normalize_ddagger, which quotients out the triangle/claw ambiguity
-and forgotten isolated vertices.
+on how many cliques each vertex already lies in.
+
+The search works on bitmask rows.  ``uncovered[w]`` is w's adjacency row
+with its covered edges cleared, so the least uncovered edge (u, v) is the
+first non-zero row u and its lowest bit v.  A clique is a vertex mask; a
+vertex w extends it when w's uncovered row contains the whole clique.  A
+mask of saturated vertices, those already in two cliques, keeps them out
+of every later clique.  A root graph is rebuilt from the decomposition;
+callers that need a canonical root apply graphs.normalize_ddagger, which
+quotients out the triangle/claw ambiguity and forgotten isolated vertices.
 """
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 __all__ = ["NotLineGraph", "krausz_root"]
 
 
 class NotLineGraph(ValueError):
     """No Krausz decomposition exists: the input is not a line graph."""
-
-
-def _candidate_cliques(
-    l: Graph,
-    u: int,
-    v: int,
-    load: list[int],
-    uncovered: set[tuple[int, int]],
-) -> list[tuple[int, ...]]:
-    """All cliques through edge (u, v) usable in the current cover state."""
-    pool = [
-        w
-        for w in range(l.n)
-        if w not in (u, v)
-        and load[w] < 2
-        and l.has_edge(w, u)
-        and l.has_edge(w, v)
-        and (min(w, u), max(w, u)) in uncovered
-        and (min(w, v), max(w, v)) in uncovered
-    ]
-    cliques: list[tuple[int, ...]] = []
-
-    def extend(base: list[int], rest: list[int]) -> None:
-        cliques.append(tuple(base))
-        for i, w in enumerate(rest):
-            if all(
-                l.has_edge(w, x) and (min(w, x), max(w, x)) in uncovered for x in base
-            ):
-                extend(base + [w], rest[i + 1 :])
-
-    extend([u, v], pool)
-    return cliques
 
 
 def krausz_root(l: Graph) -> Graph:
@@ -61,39 +35,45 @@ def krausz_root(l: Graph) -> Graph:
     When several roots exist (triangle versus claw components) the first
     one found is returned; callers normalize with normalize_ddagger.
     """
-    uncovered = set(l.edges())
-    load = [0] * l.n
-    cliques: list[tuple[int, ...]] = []
+    uncovered = list(l.adj)
+    cliques: list[int] = []
 
-    def solve() -> bool:
-        if not uncovered:
+    # touched: vertices in at least one chosen clique; saturated: in two.
+    # No clique takes a saturated vertex, so touched & clique is the set
+    # the clique saturates.
+    def solve(touched: int, saturated: int) -> bool:
+        u = next((w for w, row in enumerate(uncovered) if row), None)
+        if u is None:
             return True
-        u, v = min(uncovered)
-        if load[u] >= 2 or load[v] >= 2:
+        # Rows are symmetric, so an uncovered edge from u to a lower vertex
+        # would have made that vertex's row non-zero: v > u, and (u, v) is
+        # the least uncovered edge.
+        v = (uncovered[u] & -uncovered[u]).bit_length() - 1
+        if saturated & (1 << u | 1 << v):
             return False
-        options = _candidate_cliques(l, u, v, load, uncovered)
-        options.sort(key=len, reverse=True)
+        options: list[int] = []
+
+        def extend(base: int, rest: int) -> None:
+            options.append(base)
+            for w in _bits(rest):
+                rest ^= 1 << w
+                if uncovered[w] & base == base:
+                    extend(base | 1 << w, rest)
+
+        extend(1 << u | 1 << v, uncovered[u] & uncovered[v] & ~saturated)
+        options.sort(key=int.bit_count, reverse=True)
         for clique in options:
-            internal = [
-                (min(a, b), max(a, b))
-                for i, a in enumerate(clique)
-                for b in clique[i + 1 :]
-            ]
             cliques.append(clique)
-            for e in internal:
-                uncovered.remove(e)
-            for w in clique:
-                load[w] += 1
-            if solve():
+            for w in _bits(clique):
+                uncovered[w] &= ~clique
+            if solve(touched | clique, saturated | (touched & clique)):
                 return True
-            for w in clique:
-                load[w] -= 1
-            for e in internal:
-                uncovered.add(e)
+            for w in _bits(clique):
+                uncovered[w] |= clique ^ (1 << w)
             cliques.pop()
         return False
 
-    if not solve():
+    if not solve(0, 0):
         raise NotLineGraph(f"no Krausz decomposition for {l!r}")
 
     # Attach singleton cliques so every vertex lies in exactly two, then
@@ -101,7 +81,7 @@ def krausz_root(l: Graph) -> Graph:
     # vertex of l.
     membership: list[list[int]] = [[] for _ in range(l.n)]
     for idx, clique in enumerate(cliques):
-        for w in clique:
+        for w in _bits(clique):
             membership[w].append(idx)
     next_id = len(cliques)
     root_edges = []

@@ -154,6 +154,43 @@ class TestFindPartition:
         assert code == 0
         assert payload["parts"] == 2 and payload["min_part_size"] >= 4
 
+    def test_outside_hypothesis(self, capsys):
+        code, payload = run_cli(capsys, "find-partition", "--graph", "B?")
+        assert code == 1
+        assert payload == {"error": "PreconditionViolated",
+                           "message": "max degree 0 not below n/9 - 1/3 for n=3"}
+
+
+class TestInputErrors:
+    """Malformed graph6 text and part bounds below 1 end in argparse's
+    one-line usage error with exit code 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ("reconstruct", "--mode", "full", "--input", "D?"),
+        ("build", "--graph", "D?"),
+        ("classify", "--g1", "B?", "--k1", "1", "--g2", "~~", "--k2", "1"),
+        ("find-partition", "--graph", "B?x"),
+        ("build", "--graph", "B?", "--variant", "atmost", "--k", "0"),
+        ("classify", "--g1", "B?", "--k1", "0", "--g2", "B?", "--k2", "1"),
+        ("classify", "--g1", "B?", "--k1", "1", "--g2", "B?", "--k2", "-1"),
+    ])
+    def test_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines()[-1].startswith("bellgraphs ")
+        assert "error: argument --" in captured.err
+
+    def test_file_without_graph6_line(self, capsys, tmp_path):
+        path = tmp_path / "blank.g6"
+        path.write_text("\n\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["find-partition", "--graph", str(path)])
+        assert exc.value.code == 2
+        assert "no graph6 line found" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_passing_suite_exit_zero(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -85,8 +86,27 @@ class TestKrauszRoot:
                     l = lg.relabel(perm)
                     assert is_isomorphic(line_graph(krausz_root(l)), l), to_graph6(l)
 
+    def test_roundtrip_random_hosts(self):
+        rng = random.Random(2605)
+        for n in range(7, 13):
+            for _ in range(8):
+                p = rng.uniform(0.25, 0.6)
+                host = Graph.from_edges(
+                    n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+                )
+                lg = line_graph(host)
+                perm = list(range(lg.n))
+                rng.shuffle(perm)
+                l = lg.relabel(perm)
+                assert is_isomorphic(line_graph(krausz_root(l)), l), to_graph6(l)
+
+    def test_line_graph_of_k10_minus_an_edge_rejected(self):
+        l = line_graph(complete_graph(10))
+        with pytest.raises(NotLineGraph):
+            krausz_root(Graph.from_edges(l.n, l.edges()[1:]))
+
     def test_rejects_exactly_non_line_graphs(self):
-        for n in range(0, 6):
+        for n in range(0, 8):
             expected_codes = {
                 canonical_code(line_graph(h)) for h in graphs_with_m_edges(n)
             }
@@ -97,6 +117,48 @@ class TestKrauszRoot:
                 except NotLineGraph:
                     got = False
                 assert got == (canonical_code(l) in expected_codes), l
+
+
+def root_or_reject(l):
+    try:
+        return to_graph6(krausz_root(l))
+    except NotLineGraph:
+        return "reject"
+
+
+def pinned_roots():
+    """Lines the root digest below pins: the labelled root found for every
+    labelled graph on at most 5 vertices, and for every graph g on at most
+    6 vertices, g itself and two seeded relabellings of L(g).  The search
+    order shows in the root's labels.  Ties between equal-sized cliques
+    change the root of only a few labellings, such as the diamond plus an
+    isolated vertex labelled Dwo, so every labelling of the small graphs
+    is in.
+    """
+    for n in range(6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for bits in range(1 << len(pairs)):
+            l = Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            yield f"{to_graph6(l)} {root_or_reject(l)}\n"
+    rng = random.Random(2606)
+    for n in range(7):
+        for g in generate_nonisomorphic_graphs(n):
+            fields = [to_graph6(g), root_or_reject(g)]
+            lg = line_graph(g)
+            for _ in range(2):
+                perm = list(range(lg.n))
+                rng.shuffle(perm)
+                l = lg.relabel(perm)
+                fields += [to_graph6(l), root_or_reject(l)]
+            yield " ".join(fields) + "\n"
+
+
+class TestPinned:
+    PINNED_DIGEST = "35b1dee2a485b16ce8c38e0f8d38583a97c586afbde5f412feda6b31a3b9deb2"
+
+    def test_roots_are_pinned(self):
+        lines = list(pinned_roots())
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == self.PINNED_DIGEST
 
 
 class TestDdagger:
